@@ -3,150 +3,26 @@
 Exact arithmetic throughout: big-int bitmask sieves for semigroup membership,
 Monte-Carlo valuation computations over a large prime field, and the
 excess-dimension predicates built on top of both.
+
+The package exports the quick-start names and the exception classes that the
+command line maps to exit codes; everything else is imported from its module
+(``cuspsemi.semigroup``, ``cuspsemi.series``, ``cuspsemi.supersym``,
+``cuspsemi.arith``, ``cuspsemi.severi``, ``cuspsemi.verify``).
 """
 
-from cuspsemi.arith import (
-    AperyFormulaResult,
-    AperyPrediction,
-    ArithGenusBound,
-    ArithProfile,
-    BestLowerBound,
-    ForbiddenWindow,
-    apery_predictions,
-    approximating_semigroup,
-    approximation_generators,
-    asymptotic_check,
-    best_genus_lower,
-    forbidden_window,
-    gap_set_m2,
-    genus_lower_bound,
-    genus_upper,
-    window_gap_bound,
-)
-from cuspsemi.semigroup import (
-    AperyTable,
-    GcdNotOneError,
-    NumericalSemigroup,
-    monoid_members,
-)
-from cuspsemi.series import (
-    DEFAULT_PRIME,
-    EmpiricalSemigroup,
-    PrecisionTooSmallError,
-    RamificationProfile,
-    SeedDisagreementError,
-    TruncatedSeries,
-    combination_valuation_probe,
-    empirical_generic_semigroup,
-    random_series,
-    start_precision,
-    value_semigroup,
-)
-from cuspsemi.severi import (
-    CodimReport,
-    TraceEntry,
-    bound_polynomial,
-    excess_generic_supersym,
-    excess_supersym,
-    generic_codim,
-    ramification_codim,
-    reducibility_threshold,
-    supersym_codim,
-)
-from cuspsemi.supersym import (
-    MethodMismatchError,
-    NotApplicableError,
-    ResidueTriple,
-    SimplexSpec,
-    SupersymTriple,
-    abc_all_factorizations,
-    abc_member,
-    abc_normal_form,
-    abc_plus_one_is_member,
-    coprime_triples,
-    eta,
-    frobenius_formula,
-    frobenius_s_prime,
-    genus_formula,
-    genus_s_prime,
-    lattice_count,
-    min_congruent_one,
-    residue_triple,
-    rho,
-    rho_simplex,
-    s_prime,
-    supersym_semigroup,
-    yz_hypothesis,
-    yz_strong_bound,
-    yz_weak_bound,
-)
+from cuspsemi.semigroup import GcdNotOneError, NumericalSemigroup
+from cuspsemi.series import PrecisionTooSmallError, SeedDisagreementError, empirical_generic_semigroup
+from cuspsemi.supersym import MethodMismatchError, NotApplicableError, rho
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AperyFormulaResult",
-    "AperyPrediction",
-    "AperyTable",
-    "ArithGenusBound",
-    "ArithProfile",
-    "BestLowerBound",
-    "CodimReport",
-    "DEFAULT_PRIME",
-    "EmpiricalSemigroup",
-    "ForbiddenWindow",
     "GcdNotOneError",
     "MethodMismatchError",
     "NotApplicableError",
     "NumericalSemigroup",
     "PrecisionTooSmallError",
-    "RamificationProfile",
-    "ResidueTriple",
     "SeedDisagreementError",
-    "SimplexSpec",
-    "SupersymTriple",
-    "TraceEntry",
-    "TruncatedSeries",
-    "abc_all_factorizations",
-    "abc_member",
-    "abc_normal_form",
-    "abc_plus_one_is_member",
-    "apery_predictions",
-    "approximating_semigroup",
-    "approximation_generators",
-    "asymptotic_check",
-    "best_genus_lower",
-    "bound_polynomial",
-    "combination_valuation_probe",
-    "coprime_triples",
     "empirical_generic_semigroup",
-    "eta",
-    "excess_generic_supersym",
-    "excess_supersym",
-    "forbidden_window",
-    "frobenius_formula",
-    "frobenius_s_prime",
-    "gap_set_m2",
-    "generic_codim",
-    "genus_formula",
-    "genus_lower_bound",
-    "genus_s_prime",
-    "genus_upper",
-    "lattice_count",
-    "min_congruent_one",
-    "monoid_members",
-    "ramification_codim",
-    "random_series",
-    "reducibility_threshold",
-    "residue_triple",
     "rho",
-    "rho_simplex",
-    "s_prime",
-    "start_precision",
-    "supersym_codim",
-    "supersym_semigroup",
-    "value_semigroup",
-    "window_gap_bound",
-    "yz_hypothesis",
-    "yz_strong_bound",
-    "yz_weak_bound",
 ]

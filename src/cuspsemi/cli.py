@@ -13,7 +13,6 @@ import inspect
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import cuspsemi
 from cuspsemi import arith, series, severi, supersym, verify
@@ -200,7 +199,7 @@ def _arith_row(pair: tuple[int, int]) -> dict:
 def _generic_row(task: tuple[int, int, int, int]) -> dict:
     ell, trials, prime, seed = task
     emp = series.empirical_generic_semigroup(
-        (2 * ell, 2 * ell + 2, 2 * ell + 4), trials=trials, prime=prime, base_seed=seed
+        arith.ArithProfile(2, ell).orders, trials=trials, prime=prime, base_seed=seed
     )
     lower = arith.best_genus_lower(2 * ell, 2, 4).bound
     upper = arith.genus_upper(2, ell).proof_derived
@@ -251,11 +250,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         sys.stderr.write(f"error: unknown family {args.family!r}\n")
         return 2
 
-    if args.workers > 1:
-        with ThreadPoolExecutor(max_workers=args.workers) as pool:
-            rows = list(pool.map(worker, tasks))
-    else:
-        rows = [worker(task) for task in tasks]
+    rows = [worker(task) for task in tasks]
 
     provenance = f"cuspsemi {cuspsemi.__version__} family={args.family} seed={args.seed}"
     if args.format == "json":
@@ -331,7 +326,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--trials", type=int, default=3)
     p_sweep.add_argument("--seed", type=int, default=0)
     p_sweep.add_argument("--prime", type=int, default=None)
-    p_sweep.add_argument("--workers", type=int, default=1)
     p_sweep.add_argument("--format", choices=("csv", "json"), default="csv")
     p_sweep.add_argument("--out", default=None)
     p_sweep.set_defaults(func=cmd_sweep)

@@ -23,6 +23,12 @@ from cuspsemi.semigroup import NumericalSemigroup
 
 DEFAULT_PRIME = (1 << 61) - 1  # Mersenne prime, 61 bits
 _MIN_PRIME = 1 << 30
+# Miller-Rabin with the first twelve primes as bases is deterministic below
+# 3.3 * 10**24, so every modulus below 2**64 is decided exactly.
+_MAX_PRIME = 1 << 64
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Horizons tried per seed: start_precision, then up to eight doublings.
+_HORIZON_ATTEMPTS = 9
 
 
 class PrecisionTooSmallError(ValueError):
@@ -114,6 +120,35 @@ class TruncatedSeries:
         return TruncatedSeries(v, tuple(x % p for x in out), self.precision, p)
 
 
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin for 37 < n < ``_MAX_PRIME``; base 2 rejects even n."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _WITNESSES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _check_prime(prime: int) -> None:
+    """Raise ValueError unless ``prime`` is a prime in (2**30, 2**64)."""
+    if prime <= _MIN_PRIME:
+        raise ValueError("prime must exceed 2**30")
+    if prime >= _MAX_PRIME:
+        raise ValueError("prime must be below 2**64, where primality is checked exactly")
+    if not _is_prime(prime):
+        raise ValueError(f"modulus {prime} is not prime")
+
+
 def _draw_series(rng: random.Random, valuation: int, precision: int, prime: int) -> TruncatedSeries:
     coeffs = [1] + [rng.randrange(prime) for _ in range(precision - valuation - 1)]
     return TruncatedSeries(valuation, tuple(coeffs), precision, prime)
@@ -121,8 +156,7 @@ def _draw_series(rng: random.Random, valuation: int, precision: int, prime: int)
 
 def random_series(valuation: int, precision: int, prime: int = DEFAULT_PRIME, seed: int = 0) -> TruncatedSeries:
     """Random truncated series: leading coefficient 1, higher ones uniform in F_p."""
-    if prime <= _MIN_PRIME:
-        raise ValueError("prime must exceed 2**30")
+    _check_prime(prime)
     if valuation < 1:
         raise ValueError("valuation must be positive")
     if valuation >= precision:
@@ -208,8 +242,7 @@ def value_semigroup(
     """
     prof = RamificationProfile.of(profile)
     orders = prof.orders
-    if prime <= _MIN_PRIME:
-        raise ValueError("prime must exceed 2**30")
+    _check_prime(prime)
     if precision <= orders[-1]:
         raise PrecisionTooSmallError("precision must exceed every order in the profile")
 
@@ -290,38 +323,32 @@ class EmpiricalSemigroup:
         return self.contains(x)
 
 
-def empirical_generic_semigroup(
+def capture_conductors(
     profile: RamificationProfile | Sequence[int],
-    trials: int = 3,
+    seeds: Sequence[int],
     prime: int = DEFAULT_PRIME,
-    base_seed: int = 0,
-    max_doublings: int = 8,
-) -> EmpiricalSemigroup:
-    """Run ``trials`` independent seeds and require bitwise agreement.
+) -> list[tuple[tuple[int, ...], int]]:
+    """(achieved values below the conductor, conductor) for each seed's instance.
 
-    Each trial starts at :func:`start_precision` and doubles the horizon until
-    the conductor is captured.  All trials must agree on the conductor and on
-    the achieved set below it, otherwise :class:`SeedDisagreementError` is
-    raised.
+    This is the only place that grows the precision horizon.  Each seed starts
+    at :func:`start_precision` and doubles the horizon on every
+    :class:`PrecisionTooSmallError`, for at most ``_HORIZON_ATTEMPTS`` horizons;
+    the achieved set must then be closed above the conductor it shows.
     """
     prof = RamificationProfile.of(profile)
-    if trials < 3:
-        raise ValueError("at least 3 trials are required for agreement evidence")
     start = start_precision(prof)
     results: list[tuple[tuple[int, ...], int]] = []
-    for t in range(trials):
-        seed = base_seed + t
+    for seed in seeds:
         precision = start
-        achieved: tuple[int, ...] | None = None
-        for _ in range(max_doublings + 1):
+        for _ in range(_HORIZON_ATTEMPTS):
             try:
                 achieved = value_semigroup(prof, precision, prime, seed)
                 break
             except PrecisionTooSmallError:
                 precision *= 2
-        if achieved is None:
+        else:
             raise PrecisionTooSmallError(
-                f"conductor not captured for {prof.orders} after {max_doublings} doublings"
+                f"conductor not captured for {prof.orders} after {_HORIZON_ATTEMPTS} horizons"
             )
         conductor = detect_conductor(achieved, prof.orders[0])
         assert conductor is not None
@@ -329,6 +356,25 @@ def empirical_generic_semigroup(
         if any(x not in members for x in range(conductor, precision)):
             raise RuntimeError("achieved set is not closed above its conductor")
         results.append((tuple(x for x in achieved if x < conductor), conductor))
+    return results
+
+
+def empirical_generic_semigroup(
+    profile: RamificationProfile | Sequence[int],
+    trials: int = 3,
+    prime: int = DEFAULT_PRIME,
+    base_seed: int = 0,
+) -> EmpiricalSemigroup:
+    """Run ``trials`` independent seeds and require bitwise agreement.
+
+    Each trial is one instance from :func:`capture_conductors`.  All trials
+    must agree on the conductor and on the achieved set below it, otherwise
+    :class:`SeedDisagreementError` is raised.
+    """
+    prof = RamificationProfile.of(profile)
+    if trials < 3:
+        raise ValueError("at least 3 trials are required for agreement evidence")
+    results = capture_conductors(prof, range(base_seed, base_seed + trials), prime)
 
     if any(r != results[0] for r in results[1:]):
         raise SeedDisagreementError(

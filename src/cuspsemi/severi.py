@@ -17,7 +17,6 @@ from cuspsemi.supersym import (
     genus_formula,
     rho,
     supersym_semigroup,
-    surrogate_generic_genus,
 )
 
 
@@ -142,10 +141,9 @@ def excess_generic_supersym(a: int, b: int, c: int, empirical_genus: int | None 
     the sufficient inequality rhobound2 is traced alongside).
     """
     t = SupersymTriple(a, b, c)
-    g = surrogate_generic_genus(a, b, c) if empirical_genus is None else empirical_genus
+    members_below = supersym_semigroup(a, b, c).member_count_below(t.product)
+    g = t.product - members_below if empirical_genus is None else empirical_genus
     codim = sum(t.pairwise_products) - 7
-    s = supersym_semigroup(a, b, c)
-    members_below = s.member_count_below(t.product)
     cap = t.product - sum(t.pairwise_products) + 7
     trace = (
         TraceEntry("codim-vs-genus", f"{codim} < {g}", codim < g),

@@ -16,7 +16,7 @@ from math import gcd
 from typing import Iterator
 
 from cuspsemi.semigroup import NumericalSemigroup
-from cuspsemi.series import DEFAULT_PRIME, PrecisionTooSmallError, RamificationProfile, start_precision, value_semigroup
+from cuspsemi.series import DEFAULT_PRIME, capture_conductors
 
 
 class MethodMismatchError(RuntimeError):
@@ -306,20 +306,9 @@ def generic_contains_abc_plus(
 ) -> tuple[bool, bool]:
     """Whether a generic cusp with profile (ab, ac, bc) achieves abc+1 and abc+2.
 
-    One seeded Monte-Carlo run; the horizon is grown until the conductor is
-    captured and both targets are below it or achieved.
+    One seeded Monte-Carlo run of :func:`cuspsemi.series.capture_conductors`.
     """
     t = SupersymTriple(a, b, c)
-    profile = RamificationProfile(t.pairwise_products)
-    target = t.product
-    precision = max(start_precision(profile), 2 * target + 2)
-    for _ in range(8):
-        try:
-            achieved = value_semigroup(profile, precision, prime, seed)
-            break
-        except PrecisionTooSmallError:
-            precision *= 2
-    else:
-        raise PrecisionTooSmallError(f"conductor not captured for {profile.orders}")
+    [(achieved, conductor)] = capture_conductors(t.pairwise_products, (seed,), prime)
     members = set(achieved)
-    return (target + 1 in members, target + 2 in members)
+    return tuple(x >= conductor or x in members for x in (t.product + 1, t.product + 2))

@@ -422,11 +422,6 @@ def check_valuation_lemma(instances: int = 200, seed: int = 0) -> CheckResult:
     return result
 
 
-def _montecarlo_bundle(ell: int, trials: int, prime: int, base_seed: int) -> series.EmpiricalSemigroup:
-    profile = (2 * ell, 2 * ell + 2, 2 * ell + 4)
-    return series.empirical_generic_semigroup(profile, trials, prime, base_seed)
-
-
 def check_generic_montecarlo(
     l_lo: int = 4,
     l_hi: int = 10,
@@ -444,7 +439,9 @@ def check_generic_montecarlo(
     total = 0
     for ell in range(l_lo, l_hi + 1):
         total += 1
-        emp = _montecarlo_bundle(ell, trials, prime, base_seed)
+        emp = series.empirical_generic_semigroup(
+            arith.ArithProfile(2, ell).orders, trials, prime, base_seed
+        )
         members = set(emp.achieved)
 
         branches = ["general"] if ell % 2 == 0 else ["general", "m2"]

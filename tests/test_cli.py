@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from cuspsemi import cli, verify
 from cuspsemi.verify import CheckResult
 
@@ -63,6 +65,23 @@ def test_generic_rejects_small_prime(capsys):
     assert "prime" in err
 
 
+@pytest.mark.parametrize("modulus", [4294967297, 2147483648, (1 << 89) - 1])
+def test_generic_rejects_modulus_that_is_not_a_checked_prime(capsys, monkeypatch, modulus):
+    # 641 * 6700417, 2**31, and a prime too large for the exact primality check
+    monkeypatch.setenv("CUSPSEMI_PRIME", str(modulus))
+    code, out, err = run_cli(capsys, "generic", "--profile", "4,6")
+    assert code == 2
+    assert out == ""
+    assert "prime" in err
+
+
+@pytest.mark.parametrize("prime", [(1 << 31) - 1, (1 << 61) - 1])
+def test_generic_accepts_mersenne_primes(capsys, prime):
+    code, out, _ = run_cli(capsys, "generic", "--profile", "4,6", "--prime", str(prime))
+    assert code == 0
+    assert json.loads(out)["prime"] == prime
+
+
 def test_verify_pass_exit_zero(capsys):
     code, out, _ = run_cli(capsys, "verify", "m2-gaps")
     assert code == 0
@@ -121,12 +140,11 @@ def test_sweep_supersym_csv(capsys):
     assert keys == sorted(keys)
 
 
-def test_sweep_deterministic_and_workers_stable(capsys):
+def test_sweep_deterministic(capsys):
     args = ("sweep", "--family", "supersym", "--max-abc", "400")
     _, out1, _ = run_cli(capsys, *args)
     _, out2, _ = run_cli(capsys, *args)
-    _, out3, _ = run_cli(capsys, *args, "--workers", "4")
-    assert out1 == out2 == out3
+    assert out1 == out2
 
 
 def test_sweep_supersym_spot_row(capsys):

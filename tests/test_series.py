@@ -58,6 +58,26 @@ def test_value_semigroup_rejects_small_prime():
         value_semigroup((2, 3), 16, prime=97)
 
 
+def test_primality_check_matches_trial_division():
+    def by_trial_division(n):
+        return n > 1 and all(n % d for d in range(2, int(n**0.5) + 1))
+
+    for n in range(38, 20000):
+        assert series._is_prime(n) == by_trial_division(n), n
+    # strong pseudoprimes to the bases 2, 3, 5, 7 and to the primes up to 23
+    assert not series._is_prime(3215031751)
+    assert not series._is_prime(3825123056546413051)
+    assert series._is_prime((1 << 61) - 1)
+
+
+@pytest.mark.parametrize("modulus", [4294967297, 2147483648, 1 << 64, (1 << 89) - 1])
+def test_random_series_and_value_semigroup_reject_unchecked_moduli(modulus):
+    with pytest.raises(ValueError, match="prime"):
+        random_series(2, 16, prime=modulus)
+    with pytest.raises(ValueError, match="prime"):
+        value_semigroup((2, 3), 16, prime=modulus)
+
+
 def test_value_semigroup_precision_guard():
     with pytest.raises(PrecisionTooSmallError):
         value_semigroup((8, 10, 12), 10)

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from cuspsemi import supersym, verify
+from cuspsemi import series, supersym, verify
 from cuspsemi.semigroup import NumericalSemigroup
 from cuspsemi.supersym import (
     NotApplicableError,
@@ -160,6 +160,31 @@ def test_surrogate_generic_genus():
 def test_generic_contains_abc_plus():
     one, two = supersym.generic_contains_abc_plus(2, 3, 5, seed=0)
     assert one and two
+
+
+def test_monte_carlo_drivers_share_one_horizon_limit(monkeypatch):
+    attempts = []
+
+    def never_captured(profile, precision, prime=series.DEFAULT_PRIME, seed=0):
+        attempts.append(precision)
+        raise series.PrecisionTooSmallError("stub")
+
+    monkeypatch.setattr(series, "value_semigroup", never_captured)
+    with pytest.raises(series.PrecisionTooSmallError):
+        series.empirical_generic_semigroup((12, 15, 20))
+    generic_attempts = len(attempts)
+    attempts.clear()
+    with pytest.raises(series.PrecisionTooSmallError):
+        supersym.generic_contains_abc_plus(3, 4, 5)
+    assert generic_attempts == len(attempts) == 9
+    assert attempts == [attempts[0] * 2**k for k in range(9)]
+
+
+def test_start_precision_covers_twice_abc():
+    # the horizon the abc + 1, abc + 2 question needs is never above the start
+    for a, b, c in supersym.coprime_triples(5000):
+        t = supersym.SupersymTriple(a, b, c)
+        assert series.start_precision(t.pairwise_products) >= 2 * t.product + 2
 
 
 @pytest.mark.skipif(
