@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import inspect
+import io
 import json
 import os
 import sys
@@ -39,18 +40,24 @@ def _parse_range(text: str) -> tuple[int, int]:
         raise argparse.ArgumentTypeError(f"expected N or LO..HI, got {text!r}")
 
 
-def _default_prime() -> int:
+def _prime(args: argparse.Namespace) -> int:
+    """``--prime`` if given, else ``CUSPSEMI_PRIME``, else the default modulus."""
+    if args.prime is not None:
+        return args.prime
     env = os.environ.get("CUSPSEMI_PRIME")
     return int(env) if env else series.DEFAULT_PRIME
 
 
-def _emit_json(payload: dict, out: str | None) -> None:
-    text = json.dumps(payload, indent=2) + "\n"
+def _emit_text(text: str, out: str | None) -> None:
     if out:
         with open(out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _emit_json(payload: dict, out: str | None) -> None:
+    _emit_text(json.dumps(payload, indent=2) + "\n", out)
 
 
 def cmd_info(args: argparse.Namespace) -> int:
@@ -73,21 +80,21 @@ def cmd_info(args: argparse.Namespace) -> int:
 
 
 def cmd_generic(args: argparse.Namespace) -> int:
-    prime = args.prime if args.prime else _default_prime()
+    prime = _prime(args)
     emp = series.empirical_generic_semigroup(
         args.profile, trials=args.trials, prime=prime, base_seed=args.seed
     )
     payload = {
         "toolkit_version": cuspsemi.__version__,
-        "profile": list(emp.profile.orders),
+        "profile": list(args.profile),
         "prime": prime,
         "trials": args.trials,
         "base_seed": args.seed,
-        "seeds": list(emp.seeds_used),
+        "seeds": list(range(args.seed, args.seed + args.trials)),
         "conductor": emp.conductor,
         "genus": emp.genus,
-        "achieved_below_conductor": list(emp.achieved),
-        "gaps": list(emp.gaps),
+        "achieved_below_conductor": [x for x in range(emp.conductor) if emp.contains(x)],
+        "gaps": emp.gaps(),
     }
     _emit_json(payload, args.out)
     return 0
@@ -104,7 +111,7 @@ def _verify_kwargs(func: object, args: argparse.Namespace) -> dict:
         "trials": args.trials,
         "base_seed": args.seed,
         "seed": args.seed,
-        "prime": args.prime if args.prime else None,
+        "prime": _prime(args),
         "instances": args.instances,
         "samples": args.samples,
         "eps": args.eps,
@@ -198,12 +205,11 @@ def _arith_row(pair: tuple[int, int]) -> dict:
 
 def _generic_row(task: tuple[int, int, int, int]) -> dict:
     ell, trials, prime, seed = task
-    emp = series.empirical_generic_semigroup(
-        arith.ArithProfile(2, ell).orders, trials=trials, prime=prime, base_seed=seed
-    )
+    orders = arith.ArithProfile(2, ell).orders
+    emp = series.empirical_generic_semigroup(orders, trials=trials, prime=prime, base_seed=seed)
     lower = arith.best_genus_lower(2 * ell, 2, 4).bound
     upper = arith.genus_upper(2, ell).proof_derived
-    r1, r2, r3 = emp.profile.orders
+    r1, r2, r3 = orders
     return {
         "l": ell,
         "r1": r1,
@@ -226,7 +232,7 @@ def _csv_cell(value: object) -> str:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    prime = args.prime if args.prime else _default_prime()
+    prime = _prime(args)
     if args.family == "supersym":
         tasks = list(supersym.coprime_triples(args.max_abc, min_a=args.min_a))
         worker = _supersym_row
@@ -262,22 +268,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         }
         _emit_json(payload, args.out)
     else:
-        lines: list[str] = []
-
-        class _Sink:
-            def write(self, text: str) -> None:
-                lines.append(text)
-
-        writer = csv.writer(_Sink(), lineterminator="\n")
+        buf = io.StringIO()
+        buf.write(f"# {provenance}\n")
+        writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(columns)
         for row in rows:
             writer.writerow([_csv_cell(row[col]) for col in columns])
-        text = f"# {provenance}\n" + "".join(lines)
-        if args.out:
-            with open(args.out, "w", encoding="utf-8", newline="") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
+        _emit_text(buf.getvalue(), args.out)
     return 0
 
 

@@ -8,14 +8,15 @@ valuations achieved by the generated algebra below a precision horizon equals
 the pivot-degree set of the echelon form of the monomial coefficient matrix,
 with rows reduced in increasing valuation so a single sweep suffices.  The
 result is exact for the drawn instance; agreement across independent seeds is
-the evidence that the instance is generic.
+the evidence that the instance is generic.  Once the conductor is captured and
+the achieved set is checked to be additively closed, the value semigroup is a
+:class:`~cuspsemi.semigroup.NumericalSemigroup` like any other.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import cached_property
 from math import gcd
 from typing import Sequence
 
@@ -90,14 +91,6 @@ class TruncatedSeries:
             raise ValueError("leading coefficient must be nonzero")
         if any(not 0 <= x < self.prime for x in self.coefficients):
             raise ValueError("coefficients must be reduced mod the prime")
-
-    def coefficient(self, degree: int) -> int:
-        """Coefficient of t**degree (0 below the valuation; degree < precision)."""
-        if degree >= self.precision:
-            raise ValueError("degree is beyond the precision horizon")
-        if degree < self.valuation:
-            return 0
-        return self.coefficients[degree - self.valuation]
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         if self.precision != other.precision or self.prime != other.prime:
@@ -287,57 +280,24 @@ def start_precision(profile: RamificationProfile | Sequence[int]) -> int:
     return max(2 * d * (reduced.frobenius + 1) + 2, 2 * orders[-1] + 2)
 
 
-@dataclass(frozen=True)
-class EmpiricalSemigroup:
-    """Value semigroup of a profile as agreed by independent random trials.
-
-    ``achieved`` lists the members below ``conductor``; every integer at or
-    above the conductor is a member.
-    """
-
-    profile: RamificationProfile
-    achieved: tuple[int, ...]
-    conductor: int
-    seeds_used: tuple[int, ...]
-    prime: int
-
-    @cached_property
-    def _member_set(self) -> frozenset[int]:
-        return frozenset(self.achieved)
-
-    @property
-    def genus(self) -> int:
-        return self.conductor - len(self.achieved)
-
-    @property
-    def gaps(self) -> tuple[int, ...]:
-        members = self._member_set
-        return tuple(x for x in range(self.conductor) if x not in members)
-
-    def contains(self, x: int) -> bool:
-        if x < 0:
-            return False
-        return x >= self.conductor or x in self._member_set
-
-    def __contains__(self, x: int) -> bool:
-        return self.contains(x)
-
-
 def capture_conductors(
     profile: RamificationProfile | Sequence[int],
     seeds: Sequence[int],
     prime: int = DEFAULT_PRIME,
-) -> list[tuple[tuple[int, ...], int]]:
-    """(achieved values below the conductor, conductor) for each seed's instance.
+) -> list[NumericalSemigroup]:
+    """The value semigroup of each seed's instance.
 
     This is the only place that grows the precision horizon.  Each seed starts
     at :func:`start_precision` and doubles the horizon on every
-    :class:`PrecisionTooSmallError`, for at most ``_HORIZON_ATTEMPTS`` horizons;
-    the achieved set must then be closed above the conductor it shows.
+    :class:`PrecisionTooSmallError`, for at most ``_HORIZON_ATTEMPTS`` horizons.
+    The achieved set must be closed above the conductor it shows, and the
+    members below it must be closed under addition: the semigroup generated by
+    them and the r1 values from the conductor has no other member below it.
     """
     prof = RamificationProfile.of(profile)
+    r1 = prof.orders[0]
     start = start_precision(prof)
-    results: list[tuple[tuple[int, ...], int]] = []
+    results: list[NumericalSemigroup] = []
     for seed in seeds:
         precision = start
         for _ in range(_HORIZON_ATTEMPTS):
@@ -350,12 +310,18 @@ def capture_conductors(
             raise PrecisionTooSmallError(
                 f"conductor not captured for {prof.orders} after {_HORIZON_ATTEMPTS} horizons"
             )
-        conductor = detect_conductor(achieved, prof.orders[0])
+        conductor = detect_conductor(achieved, r1)
         assert conductor is not None
         members = set(achieved)
         if any(x not in members for x in range(conductor, precision)):
             raise RuntimeError("achieved set is not closed above its conductor")
-        results.append((tuple(x for x in achieved if x < conductor), conductor))
+        below = [x for x in achieved if x < conductor]
+        if below[0] != 0:
+            raise RuntimeError("achieved set must contain 0")
+        semigroup = NumericalSemigroup(below[1:] + list(range(conductor, conductor + r1)))
+        if semigroup.member_count_below(conductor) != len(below):
+            raise RuntimeError("achieved set is not additively closed")
+        results.append(semigroup)
     return results
 
 
@@ -364,40 +330,26 @@ def empirical_generic_semigroup(
     trials: int = 3,
     prime: int = DEFAULT_PRIME,
     base_seed: int = 0,
-) -> EmpiricalSemigroup:
-    """Run ``trials`` independent seeds and require bitwise agreement.
+) -> NumericalSemigroup:
+    """Value semigroup of a generic cusp, as agreed by ``trials`` independent seeds.
 
     Each trial is one instance from :func:`capture_conductors`.  All trials
-    must agree on the conductor and on the achieved set below it, otherwise
-    :class:`SeedDisagreementError` is raised.
+    must give the same semigroup, otherwise :class:`SeedDisagreementError` is
+    raised.
     """
     prof = RamificationProfile.of(profile)
     if trials < 3:
         raise ValueError("at least 3 trials are required for agreement evidence")
     results = capture_conductors(prof, range(base_seed, base_seed + trials), prime)
 
-    if any(r != results[0] for r in results[1:]):
+    semigroup = results[0]
+    if any(s != semigroup for s in results[1:]):
         raise SeedDisagreementError(
             f"trials disagree for profile {prof.orders} with base seed {base_seed}"
         )
-    below, conductor = results[0]
-    emp = EmpiricalSemigroup(
-        profile=prof,
-        achieved=below,
-        conductor=conductor,
-        seeds_used=tuple(range(base_seed, base_seed + trials)),
-        prime=prime,
-    )
-    members = set(below)
-    if 0 not in members:
-        raise RuntimeError("achieved set must contain 0")
-    if any(not emp.contains(r) for r in prof.orders):
+    if any(not semigroup.contains(r) for r in prof.orders):
         raise RuntimeError("achieved set must contain every profile order")
-    for x in below:
-        for y in below:
-            if x + y < conductor and x + y not in members:
-                raise RuntimeError("achieved set is not additively closed")
-    return emp
+    return semigroup
 
 
 def combination_valuation_probe(

@@ -309,6 +309,5 @@ def generic_contains_abc_plus(
     One seeded Monte-Carlo run of :func:`cuspsemi.series.capture_conductors`.
     """
     t = SupersymTriple(a, b, c)
-    [(achieved, conductor)] = capture_conductors(t.pairwise_products, (seed,), prime)
-    members = set(achieved)
-    return tuple(x >= conductor or x in members for x in (t.product + 1, t.product + 2))
+    [s] = capture_conductors(t.pairwise_products, (seed,), prime)
+    return (s.contains(t.product + 1), s.contains(t.product + 2))

@@ -32,16 +32,19 @@ class CheckResult:
 
     @property
     def passed(self) -> bool:
-        return all(r.ok for r in self.rows if r.ok is not None)
+        return bool(self.rows) and all(r.ok for r in self.rows if r.ok is not None)
 
     def row(self, label: str, ok: bool | None, detail: str = "") -> None:
         self.rows.append(CheckRow(label, ok, detail))
 
 
 def _sweep_row(result: CheckResult, label: str, failures: list[str], total: int) -> None:
-    ok = not failures
-    detail = f"{total} instances" if ok else f"failed at {', '.join(failures[:5])}"
-    result.row(label, ok, detail)
+    if failures:
+        result.row(label, False, f"failed at {', '.join(failures[:5])}")
+    elif total == 0:
+        result.row(label, False, "no instances in range")
+    else:
+        result.row(label, True, f"{total} instances")
 
 
 def check_supersym_invariants(max_abc: int = 5000) -> CheckResult:
@@ -439,10 +442,8 @@ def check_generic_montecarlo(
     total = 0
     for ell in range(l_lo, l_hi + 1):
         total += 1
-        emp = series.empirical_generic_semigroup(
-            arith.ArithProfile(2, ell).orders, trials, prime, base_seed
-        )
-        members = set(emp.achieved)
+        orders = arith.ArithProfile(2, ell).orders
+        emp = series.empirical_generic_semigroup(orders, trials, prime, base_seed)
 
         branches = ["general"] if ell % 2 == 0 else ["general", "m2"]
         for branch in branches:
@@ -463,7 +464,7 @@ def check_generic_montecarlo(
             window = arith.forbidden_window(2 * ell, 2, 4, d)
             if window is None:
                 break
-            if any(x in members for x in window.excluded()):
+            if any(emp.contains(x) for x in window.excluded()):
                 bad_windows.append(f"ell={ell} d={d}")
             d += 1
 
@@ -480,8 +481,8 @@ def check_generic_montecarlo(
                 bad_gapwin.append(f"ell={ell} d={d}")
             d += 1
 
-        generated = monoid_members(emp.profile.orders, emp.conductor)
-        if any(x not in members for x in generated):
+        generated = monoid_members(orders, emp.conductor)
+        if any(not emp.contains(x) for x in generated):
             bad_monoid.append(f"ell={ell}")
     _sweep_row(result, "three seeds agree", [], total)
     _sweep_row(result, "approximating semigroup contained", bad_contain, total)

@@ -82,6 +82,34 @@ def test_generic_accepts_mersenne_primes(capsys, prime):
     assert json.loads(out)["prime"] == prime
 
 
+def test_generic_rejects_prime_zero(capsys):
+    code, out, err = run_cli(capsys, "generic", "--profile", "4,6", "--prime", "0")
+    assert code == 2
+    assert out == ""
+    assert "prime" in err
+
+
+def test_verify_reads_env_prime(capsys, monkeypatch):
+    monkeypatch.setenv("CUSPSEMI_PRIME", "4294967297")
+    code, out, err = run_cli(capsys, "verify", "supersym-generic-contains")
+    assert code == 2
+    assert "prime" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("m2-gaps", "--l", "9..4"),
+        ("rho-simplex", "--max-abc", "20"),
+        ("supersym-generic-contains", "--trials", "0"),
+    ],
+)
+def test_verify_that_checks_nothing_fails(capsys, argv):
+    code, out, _ = run_cli(capsys, "verify", *argv)
+    assert code == 1
+    assert "result: FAIL" in out
+
+
 def test_verify_pass_exit_zero(capsys):
     code, out, _ = run_cli(capsys, "verify", "m2-gaps")
     assert code == 0

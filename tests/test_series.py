@@ -3,6 +3,7 @@ import random
 import pytest
 
 from cuspsemi import series
+from cuspsemi.semigroup import NumericalSemigroup
 from cuspsemi.series import (
     DEFAULT_PRIME,
     PrecisionTooSmallError,
@@ -94,7 +95,7 @@ def test_empirical_semigroup_smallest_cusp():
     emp = empirical_generic_semigroup((2, 3))
     assert emp.conductor == 2
     assert emp.genus == 1
-    assert emp.gaps == (1,)
+    assert emp.gaps() == [1]
     assert emp.contains(0)
     assert not emp.contains(1)
     assert emp.contains(999)
@@ -108,11 +109,15 @@ def test_empirical_semigroup_supersym_profile():
     assert emp.contains(25)
 
 
+def test_empirical_semigroup_is_the_generated_semigroup():
+    emp = empirical_generic_semigroup((8, 10, 12))
+    assert emp == NumericalSemigroup((8, 10, 12, 21, 25))
+
+
 def test_empirical_agreement_across_seed_banks():
     a = empirical_generic_semigroup((8, 10, 12), base_seed=0)
     b = empirical_generic_semigroup((8, 10, 12), base_seed=100)
-    assert a.achieved == b.achieved
-    assert a.conductor == b.conductor
+    assert a == b
 
 
 def test_empirical_gap_closure():

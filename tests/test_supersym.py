@@ -180,6 +180,26 @@ def test_monte_carlo_drivers_share_one_horizon_limit(monkeypatch):
     assert attempts == [attempts[0] * 2**k for k in range(9)]
 
 
+@pytest.mark.parametrize(
+    "driver, achieved_below, conductor",
+    [
+        (lambda: series.empirical_generic_semigroup((4, 6)), (0, 4, 6, 7), 9),
+        (lambda: supersym.generic_contains_abc_plus(2, 3, 5), (0, 6, 10, 11), 13),
+    ],
+    ids=["empirical_generic_semigroup", "generic_contains_abc_plus"],
+)
+def test_monte_carlo_drivers_reject_sets_not_closed_under_addition(
+    monkeypatch, driver, achieved_below, conductor
+):
+    # closed above the conductor, but 4 + 4 = 8 and 6 + 6 = 12 are missing below it
+    def not_closed(profile, precision, prime=series.DEFAULT_PRIME, seed=0):
+        return achieved_below + tuple(range(conductor, precision))
+
+    monkeypatch.setattr(series, "value_semigroup", not_closed)
+    with pytest.raises(RuntimeError, match="additively closed"):
+        driver()
+
+
 def test_start_precision_covers_twice_abc():
     # the horizon the abc + 1, abc + 2 question needs is never above the start
     for a, b, c in supersym.coprime_triples(5000):

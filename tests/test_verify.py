@@ -29,6 +29,8 @@ def test_passed_semantics():
     assert not CheckResult("t", [ok, bad]).passed
     # informational rows alone do not fail a result
     assert CheckResult("t", [info]).passed
+    # a check that checked nothing does not pass
+    assert not CheckResult("t").passed
 
 
 def test_row_appender():
