@@ -11,6 +11,14 @@ result is exact for the drawn instance; agreement across independent seeds is
 the evidence that the instance is generic.  Once the conductor is captured and
 the achieved set is checked to be additively closed, the value semigroup is a
 :class:`~cuspsemi.semigroup.NumericalSemigroup` like any other.
+
+Both kernels run on Python integers that pack one fixed-width slot per degree
+(Kronecker substitution).  A product of two series truncated to n terms is one
+big-integer multiply with slots of 2 * bits(p) + bits(n) bits, rounded up to
+whole bytes, because each exact product coefficient is below n * p**2.  An
+echelon row keeps its slots unreduced while it is reduced; at most one pivot
+per degree meets it, so slots of 2 * bits(p) + bits(precision) + 1 bits, again
+rounded up to bytes, hold it without a carry.
 """
 
 from __future__ import annotations
@@ -102,15 +110,22 @@ class TruncatedSeries:
                 f"product valuation {v} is at or beyond precision {self.precision}"
             )
         n = self.precision - v
-        ca, cb = self.coefficients, other.coefficients
-        out = [0] * n
-        for i, ai in enumerate(ca):
-            if not ai or i >= n:
-                continue
-            m = min(len(cb), n - i)
-            for j in range(m):
-                out[i + j] += ai * cb[j]
-        return TruncatedSeries(v, tuple(x % p for x in out), self.precision, p)
+        # both operands truncate to n coefficients, so an exact product
+        # coefficient is below n * p**2 and fits its slot without a carry
+        width = (2 * p.bit_length() + n.bit_length() + 7) // 8
+        product = _pack(self.coefficients[:n], width) * _pack(other.coefficients[:n], width)
+        return TruncatedSeries(v, tuple(_unpack(product, width, n, p)), self.precision, p)
+
+
+def _pack(values: Sequence[int], width: int) -> int:
+    """One int holding ``values[k]`` in bytes [k * width, (k + 1) * width)."""
+    return int.from_bytes(b"".join(x.to_bytes(width, "little") for x in values), "little")
+
+
+def _unpack(packed: int, width: int, count: int, prime: int) -> list[int]:
+    """The lowest ``count`` slots of ``packed``, each reduced mod ``prime``."""
+    raw = packed.to_bytes(max(count * width, (packed.bit_length() + 7) // 8), "little")
+    return [int.from_bytes(raw[k : k + width], "little") % prime for k in range(0, count * width, width)]
 
 
 def _is_prime(n: int) -> bool:
@@ -181,29 +196,45 @@ def _exponents_below(orders: tuple[int, ...], precision: int) -> list[tuple[int,
     return [exp for _, exp in found]
 
 
-def _insert_row(pivots: dict[int, list[int]], valuation: int, coeffs: list[int], prime: int) -> int | None:
+def _row_width(prime: int, precision: int) -> int:
+    """Bytes per slot of an echelon row: room for (precision + 1) * prime**2."""
+    return (2 * prime.bit_length() + precision.bit_length() + 1 + 7) // 8
+
+
+def _insert_row(pivots: dict[int, int], valuation: int, coeffs: Sequence[int], prime: int) -> int | None:
     """Reduce a row against the pivot rows; record a new pivot at its leading degree.
 
     ``coeffs`` covers degrees [valuation, precision).  Returns the new pivot
     degree, or None when the row reduces to zero below the horizon.
+
+    Rows and pivots are packed ints with one slot of :func:`_row_width` bytes
+    per degree, the lowest slot holding the leading degree.  A pivot covers
+    [degree, precision) with reduced slots and leading slot 1, so one
+    reduction is ``row += (p - c) * pivot`` and adds less than p**2 to each
+    slot.  Row slots stay unreduced; a row meets at most one pivot per degree,
+    so each slot stays below (precision + 1) * p**2 and never carries into
+    the next one.
     """
-    i = 0
-    length = len(coeffs)
-    while True:
-        while i < length and coeffs[i] == 0:
-            i += 1
-        if i == length:
-            return None
-        degree = valuation + i
+    precision = valuation + len(coeffs)
+    width = _row_width(prime, precision)
+    bits = 8 * width
+    mask = (1 << bits) - 1
+    row = _pack(coeffs, width)
+    degree = valuation
+    while row:
+        c = (row & mask) % prime
+        if not c:
+            row >>= bits
+            degree += 1
+            continue
         pivot = pivots.get(degree)
         if pivot is None:
-            inv = pow(coeffs[i], -1, prime)
-            pivots[degree] = [(inv * x) % prime for x in coeffs[i:]]
+            inv = pow(c, -1, prime)
+            slots = _unpack(row, width, precision - degree, prime)
+            pivots[degree] = _pack([inv * x % prime for x in slots], width)
             return degree
-        f = coeffs[i]
-        for k, pk in enumerate(pivot):
-            if pk:
-                coeffs[i + k] = (coeffs[i + k] - f * pk) % prime
+        row += (prime - c) * pivot
+    return None
 
 
 def detect_conductor(achieved: Sequence[int], run_length: int) -> int | None:
@@ -247,7 +278,7 @@ def value_semigroup(
         unit = tuple(1 if j == i else 0 for j in range(len(orders)))
         memo[unit] = base[i]
 
-    pivots: dict[int, list[int]] = {}
+    pivots: dict[int, int] = {}
     for exp in _exponents_below(orders, precision):
         series = memo.get(exp)
         if series is None:
@@ -255,7 +286,7 @@ def value_semigroup(
             parent = exp[:j] + (exp[j] - 1,) + exp[j + 1 :]
             series = memo[parent] * base[j]
             memo[exp] = series
-        _insert_row(pivots, series.valuation, list(series.coefficients), prime)
+        _insert_row(pivots, series.valuation, series.coefficients, prime)
 
     achieved = sorted({0, *pivots})
     if detect_conductor(achieved, orders[0]) is None:

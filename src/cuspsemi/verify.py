@@ -38,6 +38,14 @@ class CheckResult:
         self.rows.append(CheckRow(label, ok, detail))
 
 
+_COUNT_WORDS = ("zero", "one", "two", "three", "four", "five", "six", "seven", "eight", "nine", "ten")
+
+
+def _count_word(n: int) -> str:
+    """``n`` spelled as a word up to ten, in digits above."""
+    return _COUNT_WORDS[n] if 0 <= n < len(_COUNT_WORDS) else str(n)
+
+
 def _sweep_row(result: CheckResult, label: str, failures: list[str], total: int) -> None:
     if failures:
         result.row(label, False, f"failed at {', '.join(failures[:5])}")
@@ -432,7 +440,11 @@ def check_generic_montecarlo(
     prime: int = series.DEFAULT_PRIME,
     base_seed: int = 0,
 ) -> CheckResult:
-    """Monte-Carlo sweep for profiles (2l, 2l+2, 2l+4): agreement, containment, bounds."""
+    """Monte-Carlo sweep for profiles (2l, 2l+2, 2l+4): agreement, containment, bounds.
+
+    The "seeds agree" row cannot fail: a disagreement raises
+    :class:`~cuspsemi.series.SeedDisagreementError` (exit 4) before it is written.
+    """
     result = CheckResult("generic-montecarlo")
     bad_contain: list[str] = []
     bad_bounds: list[str] = []
@@ -484,7 +496,7 @@ def check_generic_montecarlo(
         generated = monoid_members(orders, emp.conductor)
         if any(not emp.contains(x) for x in generated):
             bad_monoid.append(f"ell={ell}")
-    _sweep_row(result, "three seeds agree", [], total)
+    _sweep_row(result, f"{_count_word(trials)} seeds agree", [], total)
     _sweep_row(result, "approximating semigroup contained", bad_contain, total)
     _sweep_row(result, "lower <= genus <= upper", bad_bounds, total)
     _sweep_row(result, "forbidden windows avoid achieved values", bad_windows, total)

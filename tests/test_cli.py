@@ -116,6 +116,14 @@ def test_verify_pass_exit_zero(capsys):
     assert "result: PASS" in out
 
 
+@pytest.mark.parametrize("trials, label", [("5", "five seeds agree"), ("11", "11 seeds agree")])
+def test_verify_generic_montecarlo_names_its_trial_count(capsys, trials, label):
+    code, out, _ = run_cli(capsys, "verify", "generic-montecarlo", "--l", "4..4", "--trials", trials)
+    assert code == 0
+    assert f"PASS {label}  [1 instances]" in out
+    assert "three" not in out
+
+
 def test_verify_unknown_theorem(capsys):
     code, _, err = run_cli(capsys, "verify", "not-a-theorem")
     assert code == 2

@@ -16,6 +16,51 @@ from cuspsemi.series import (
     value_semigroup,
 )
 
+BIG_PRIME = 18446744073709551557  # the largest prime below 2**64
+PRIMES = (2**31 - 1, 2**61 - 1, BIG_PRIME)
+
+
+def schoolbook_product(f, g):
+    """Reference product: one multiply per pair of coefficients, truncated at the horizon."""
+    p, v = f.prime, f.valuation + g.valuation
+    n = f.precision - v
+    out = [0] * n
+    for i, ai in enumerate(f.coefficients[:n]):
+        for j, bj in enumerate(g.coefficients[: n - i]):
+            out[i + j] += ai * bj
+    return TruncatedSeries(v, tuple(x % p for x in out), f.precision, p)
+
+
+def reduce_row_by_lists(pivots, valuation, coeffs, prime):
+    """Reference echelon insertion on coefficient lists; mirrors ``series._insert_row``."""
+    coeffs = list(coeffs)
+    i = 0
+    while True:
+        while i < len(coeffs) and coeffs[i] == 0:
+            i += 1
+        if i == len(coeffs):
+            return None
+        degree = valuation + i
+        pivot = pivots.get(degree)
+        if pivot is None:
+            inv = pow(coeffs[i], -1, prime)
+            pivots[degree] = [inv * x % prime for x in coeffs[i:]]
+            return degree
+        f = coeffs[i]
+        for k, pk in enumerate(pivot):
+            coeffs[i + k] = (coeffs[i + k] - f * pk) % prime
+
+
+def replay_rows(rows, prime):
+    """Insert ``rows`` by both routes; return (degrees, pivot lists) of each."""
+    packed, lists = {}, {}
+    got = [series._insert_row(packed, v, c, prime) for v, c in rows]
+    want = [reduce_row_by_lists(lists, v, c, prime) for v, c in rows]
+    precision = rows[0][0] + len(rows[0][1])
+    width = series._row_width(prime, precision)
+    unpacked = {d: series._unpack(row, width, precision - d, prime) for d, row in packed.items()}
+    return (got, unpacked), (want, lists)
+
 
 def test_profile_validation():
     p = RamificationProfile.of((8, 10, 12))
@@ -153,3 +198,81 @@ def test_probe_detects_forced_cancellation():
     # two copies of the same series with opposite signs vanish entirely
     f = random_series(4, 24, DEFAULT_PRIME, seed=5)
     assert combination_valuation_probe([f, f], (1, DEFAULT_PRIME - 1)) is None
+
+
+def _sparse_series(rng, valuation, precision, prime):
+    coeffs = [rng.randrange(1, prime)] + [
+        rng.randrange(prime) if rng.random() < 0.6 else 0 for _ in range(precision - valuation - 1)
+    ]
+    return TruncatedSeries(valuation, tuple(coeffs), precision, prime)
+
+
+@pytest.mark.parametrize("prime", PRIMES)
+def test_kronecker_product_matches_schoolbook(prime):
+    rng = random.Random(prime)
+    for precision in (3, 4, 9, 40, 157):
+        for _ in range(25):
+            va = rng.randrange(1, precision - 1)
+            vb = rng.randrange(1, precision - va)  # va + vb < precision
+            f = _sparse_series(rng, va, precision, prime)
+            g = _sparse_series(rng, vb, precision, prime)
+            assert f * g == schoolbook_product(f, g)
+            assert g * f == f * g
+        # length-1 result: only the leading coefficients meet
+        f = _sparse_series(rng, 1, precision, prime)
+        g = _sparse_series(rng, precision - 2, precision, prime)
+        h = f * g
+        assert len(h.coefficients) == 1
+        assert h == schoolbook_product(f, g)
+        assert h.coefficients[0] == f.coefficients[0] * g.coefficients[0] % prime
+
+
+def test_kronecker_product_worst_case_slots():
+    # every exact coefficient (k + 1) * (p - 1)**2 fills its slot; one byte
+    # less and slot 1 already carries into slot 2
+    p, precision = BIG_PRIME, 43
+    f = TruncatedSeries(1, (p - 1,) * (precision - 1), precision, p)
+    g = TruncatedSeries(2, (p - 1,) * (precision - 2), precision, p)
+    h = f * g
+    assert h == schoolbook_product(f, g)
+    assert h.coefficients == tuple((k + 1) % p for k in range(precision - 3))
+
+
+@pytest.mark.parametrize("prime", PRIMES)
+def test_packed_rows_match_list_reduction(monkeypatch, prime):
+    rows = []
+    insert = series._insert_row
+
+    def record(pivots, valuation, coeffs, p):
+        rows.append((valuation, tuple(coeffs)))
+        return insert(pivots, valuation, coeffs, p)
+
+    monkeypatch.setattr(series, "_insert_row", record)
+    # the horizon capture_conductors reaches: start_precision, doubled once
+    achieved = value_semigroup((8, 10, 12), 2 * start_precision((8, 10, 12)), prime, seed=0)
+    monkeypatch.undo()
+
+    (got, packed), (want, lists) = replay_rows(rows, prime)
+    assert got == want
+    assert sum(d is not None for d in got) < len(rows)  # some rows reduce to zero
+    assert set(packed) == set(lists) == set(achieved) - {0}
+    assert packed == lists
+
+
+def test_packed_row_worst_case_slots():
+    # pivots 1, p-1, ..., p-1 at every degree but the last three; the row
+    # 1, 0, ..., 0 meets each of them with a multiplier near p, so the slots
+    # of the final three degrees collect about precision * p**2.  One byte
+    # less and they carry after the second reduction.
+    p, precision = BIG_PRIME, 60
+    rows = [(d, (1,) + (p - 1,) * (precision - d - 1)) for d in range(1, precision - 3)]
+    rows.append((1, (1,) + (0,) * (precision - 2)))
+    (got, packed), (want, lists) = replay_rows(rows, p)
+    assert got == want
+    assert got[-1] == precision - 3
+    assert packed == lists
+    # the same row against a pivot at every degree reduces to zero
+    full = [(d, (1,) + (p - 1,) * (precision - d - 1)) for d in range(1, precision)]
+    (got, _), (want, _) = replay_rows(full + rows[-1:], p)
+    assert got == want
+    assert got[-1] is None
