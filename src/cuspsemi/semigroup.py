@@ -4,6 +4,14 @@ A numerical semigroup is an additively closed subset of the nonnegative integers
 that contains 0 and has a finite complement (the gaps).  Everything here is exact
 integer arithmetic; membership below the table extent is stored as a bitmask and
 every integer at or above the conductor is a member by construction.
+
+The kernels take logarithmically many big-integer steps, or one step per
+solution.  The sieve ORs in each generator shifted by g, 2g, 4g, ... (each
+shift doubles the multiples of g already present), and the conductor search
+finds a run of r set bits by ANDing with shifts by 1, 2, 4, ... and one last
+shift.  Factorizations recurse over the leading generators and step through
+the last two in one arithmetic progression, so no value is tried that does
+not solve.
 """
 
 from __future__ import annotations
@@ -43,26 +51,36 @@ class AperyTable:
 
 
 def _reach(gens: tuple[int, ...], limit: int) -> int:
-    """Bitmask of the additive monoid generated by ``gens`` over [0, limit)."""
+    """Bitmask of the additive monoid generated by ``gens`` over [0, limit).
+
+    After ORing in the shifts g, 2g, ..., 2^j g the mask holds every multiple
+    of g below 2^(j+1) g, so log2(limit / g) steps per generator suffice.
+    """
+    if limit < 1:
+        return 0
     mask = (1 << limit) - 1
     bits = 1
     for g in gens:
-        if g >= limit:
-            continue
-        prev = 0
-        while bits != prev:
-            prev = bits
-            bits = (bits | (bits << g)) & mask
+        shift = g
+        while shift < limit:
+            bits = (bits | (bits << shift)) & mask
+            shift <<= 1
     return bits
 
 
 def _first_run_start(bits: int, run_length: int) -> int | None:
-    """Index of the first run of ``run_length`` consecutive set bits, if any."""
+    """Index of the first run of ``run_length`` consecutive set bits, if any.
+
+    Bit i of ``y`` is set when bits i .. i + k - 1 all are; ANDing with
+    ``y >> k`` doubles k, and one shift by ``run_length - k <= k`` ends it.
+    """
     y = bits
-    for _ in range(run_length - 1):
-        y &= y >> 1
-        if not y:
-            return None
+    k = 1
+    while y and 2 * k <= run_length:
+        y &= y >> k
+        k *= 2
+    if k < run_length:
+        y &= y >> (run_length - k)
     if not y:
         return None
     return (y & -y).bit_length() - 1
@@ -74,6 +92,8 @@ def monoid_members(gens: Iterable[int], limit: int) -> set[int]:
     Unlike :class:`NumericalSemigroup` this places no gcd restriction on the
     generators, so it also serves profiles whose orders share a common factor.
     """
+    if limit < 0:
+        raise ValueError(f"limit must be nonnegative, got limit={limit}")
     gs = tuple(sorted({int(g) for g in gens if g > 0}))
     bits = _reach(gs, limit)
     return {i for i in range(limit) if bits >> i & 1}
@@ -195,25 +215,38 @@ class NumericalSemigroup:
         """All nonnegative coefficient vectors over the generators summing to ``s``.
 
         Returned in lexicographic order; empty exactly when ``s`` is not a member.
+        The leading generators are enumerated one value at a time.  For the last
+        two, g and h with d = gcd(g, h), a remainder solves a*g + b*h = rem only
+        when d divides it, and then exactly for a = a0 + t*(h/d) with
+        a0 = (rem/d) * (g/d)^-1 mod (h/d), so each step yields one solution.
         """
         if s < 0:
             raise ValueError("element must be nonnegative")
         gens = self.generators
         k = len(gens)
+        if k == 1:
+            q, r = divmod(s, gens[0])
+            return [(q,)] if r == 0 else []
+        g, h = gens[-2:]
+        d = gcd(g, h)
+        step = h // d
+        g_inv = pow(g // d, -1, step)
         out: list[tuple[int, ...]] = []
         vec = [0] * k
 
         def descend(i: int, rem: int) -> None:
-            if i == k - 1:
-                q, r = divmod(rem, gens[i])
-                if r == 0:
-                    vec[i] = q
+            if i == k - 2:
+                if rem % d:
+                    return
+                for a in range(rem // d * g_inv % step, rem // g + 1, step):
+                    vec[i] = a
+                    vec[i + 1] = (rem - a * g) // h
                     out.append(tuple(vec))
                 return
-            g = gens[i]
-            for a in range(rem // g + 1):
+            c = gens[i]
+            for a in range(rem // c + 1):
                 vec[i] = a
-                descend(i + 1, rem - a * g)
+                descend(i + 1, rem - a * c)
 
         descend(0, s)
         return out

@@ -1,0 +1,40 @@
+"""Property tests: the sieve, the Apery table and the normal form agree on <ab, ac, bc>."""
+
+from math import gcd
+
+import pytest
+
+pytest.importorskip("hypothesis")
+
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from cuspsemi import supersym  # noqa: E402
+
+triples = (
+    st.lists(st.integers(2, 16), min_size=3, max_size=3, unique=True)
+    .map(sorted)
+    .filter(lambda t: gcd(t[0], t[1]) == gcd(t[0], t[2]) == gcd(t[1], t[2]) == 1)
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(triples)
+def test_sieve_apery_and_normal_form_membership_agree(t):
+    a, b, c = t
+    s = supersym.supersym_semigroup(a, b, c)
+    apery = s.apery()
+    m = apery.modulus
+    for x in range(s.conductor + s.generators[-1]):
+        by_sieve = x in s
+        assert by_sieve == (x >= apery.entries[x % m])
+        assert by_sieve == supersym.abc_member(a, b, c, x)
+
+
+@settings(max_examples=60, deadline=None)
+@given(triples, st.lists(st.integers(0, 2 * 16**3), min_size=1, max_size=20))
+def test_factorizations_equal_normal_form_shifts(t, ns):
+    a, b, c = t
+    s = supersym.supersym_semigroup(a, b, c)
+    for n in ns:
+        assert tuple(s.factorizations(n)) == supersym.abc_all_factorizations(a, b, c, n)

@@ -1,11 +1,63 @@
+import random
+from math import gcd
+
 import pytest
 
 from cuspsemi.semigroup import (
     AperyTable,
     GcdNotOneError,
     NumericalSemigroup,
+    _first_run_start,
+    _reach,
     monoid_members,
 )
+
+
+def fixpoint_reach(gens, limit):
+    """The monoid bitmask by adding each generator until nothing changes (reference)."""
+    mask = (1 << limit) - 1
+    bits = 1
+    for g in gens:
+        if g >= limit:
+            continue
+        prev = 0
+        while bits != prev:
+            prev = bits
+            bits = (bits | (bits << g)) & mask
+    return bits
+
+
+def linear_run_start(bits, run_length):
+    """First run of ``run_length`` set bits by shifting one place at a time (reference)."""
+    y = bits
+    for _ in range(run_length - 1):
+        y &= y >> 1
+        if not y:
+            return None
+    if not y:
+        return None
+    return (y & -y).bit_length() - 1
+
+
+def recursive_factorizations(gens, s):
+    """Every factorization, trying each value of every coefficient (reference)."""
+    k = len(gens)
+    out = []
+    vec = [0] * k
+
+    def descend(i, rem):
+        if i == k - 1:
+            q, r = divmod(rem, gens[i])
+            if r == 0:
+                vec[i] = q
+                out.append(tuple(vec))
+            return
+        for a in range(rem // gens[i] + 1):
+            vec[i] = a
+            descend(i + 1, rem - a * gens[i])
+
+    descend(0, s)
+    return out
 
 
 def test_basic_invariants():
@@ -145,3 +197,89 @@ def test_contains_negative():
     s = NumericalSemigroup((4, 5))
     assert -3 not in s
     assert 0 in s
+
+
+def test_reach_matches_fixpoint_on_random_inputs():
+    rng = random.Random(20261018)
+    for _ in range(2000):
+        gens = tuple(sorted({rng.randint(1, 80) for _ in range(rng.randint(1, 5))}))
+        limit = rng.randint(1, 600)
+        assert _reach(gens, limit) == fixpoint_reach(gens, limit), (gens, limit)
+
+
+@pytest.mark.parametrize(
+    "gens,limit",
+    [((5, 7), 5), ((3, 10), 10), ((4, 9), 9), ((2, 3), 1), ((1,), 1), ((7,), 8), ((1, 50), 64)],
+)
+def test_reach_edge_cases(gens, limit):
+    # generators at or above the limit, limit 1, a shift just below the limit
+    assert _reach(gens, limit) == fixpoint_reach(gens, limit)
+    assert _reach(gens, limit) >> limit == 0
+
+
+def test_reach_returns_only_bits_below_limit():
+    assert _reach((2, 3), 0) == 0
+    assert monoid_members((2, 3), 0) == set()
+
+
+def test_monoid_members_rejects_negative_limit():
+    with pytest.raises(ValueError, match="limit"):
+        monoid_members((2, 3), -1)
+
+
+def test_first_run_start_matches_linear_scan_on_random_inputs():
+    rng = random.Random(7)
+    for _ in range(3000):
+        bits = rng.getrandbits(rng.randint(0, 400))
+        # plant a run so long run lengths have something to find
+        bits |= ((1 << rng.randint(0, 70)) - 1) << rng.randint(0, 300)
+        r = rng.randint(1, 80)
+        assert _first_run_start(bits, r) == linear_run_start(bits, r), (bits, r)
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 32, 33, 64])
+def test_first_run_start_edge_lengths(r):
+    # run lengths 1, 2^k and 2^k +- 1 against runs one shorter, exact and one longer
+    assert _first_run_start(0, r) is None
+    for length in (r - 1, r, r + 1):
+        for lead in (0, 1, 5):
+            run = ((1 << length) - 1) << lead
+            for bits in (run, run | 1 << (lead + length + 3)):
+                assert _first_run_start(bits, r) == linear_run_start(bits, r)
+    # two runs of r - 1 separated by one gap never count as a run of r
+    split = ((1 << (r - 1)) - 1) | (((1 << (r - 1)) - 1) << r)
+    assert _first_run_start(split, r) == linear_run_start(split, r)
+
+
+def test_factorizations_match_recursion_on_random_semigroups():
+    rng = random.Random(11)
+    seen = 0
+    while seen < 150:
+        gens = tuple(sorted({rng.randint(2, 40) for _ in range(rng.randint(2, 5))}))
+        if gcd(*gens) != 1:
+            continue
+        seen += 1
+        s = NumericalSemigroup(gens)
+        for x in rng.choices(range(s.conductor + 2 * gens[-1]), k=25):
+            assert s.factorizations(x) == recursive_factorizations(s.generators, x), (gens, x)
+
+
+@pytest.mark.parametrize(
+    "gens",
+    [(5, 6, 9), (4, 6, 9), (6, 10, 15), (8, 10, 12, 21, 25), (7, 9, 11, 12, 15), (2, 3)],
+)
+def test_factorizations_edge_cases(gens):
+    # last two generators sharing a factor (6, 9), five generators, two generators
+    s = NumericalSemigroup(gens)
+    k = len(s.generators)
+    assert s.factorizations(0) == [(0,) * k]
+    for x in range(s.conductor + 3 * s.generators[-1]):
+        facs = s.factorizations(x)
+        assert facs == recursive_factorizations(s.generators, x)
+        assert facs == sorted(facs)
+
+
+def test_factorizations_single_generator():
+    n = NumericalSemigroup((1,))
+    for x in range(20):
+        assert n.factorizations(x) == [(x,)]
