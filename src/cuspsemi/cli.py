@@ -164,7 +164,6 @@ _GENERIC_COLUMNS = "l,r1,r2,r3,conductor,genus,genus_lower,genus_upper,in_bounds
 def _supersym_row(triple: tuple[int, int, int]) -> dict:
     a, b, c = triple
     report = severi.excess_supersym(a, b, c)
-    fvalue = severi.bound_polynomial(a, b, c)
     applicable = not supersym.abc_plus_one_is_member(a, b, c)
     return {
         "a": a,
@@ -177,7 +176,7 @@ def _supersym_row(triple: tuple[int, int, int]) -> dict:
         "nodal_codim": report.nodal_codim,
         "excess": report.excess,
         "rhobound1_holds": report.holds("rhobound1"),
-        "F_poly_sign": "nonnegative" if fvalue >= 0 else "negative",
+        "F_poly_sign": "nonnegative" if report.holds("f-polynomial") else "negative",
         "sprime_applicable": applicable,
         "sprime_genus": supersym.genus_s_prime(a, b, c) if applicable else None,
         "sprime_frobenius": supersym.frobenius_s_prime(a, b, c) if applicable else None,

@@ -3,7 +3,10 @@
 The stratum of degree-d rational curves with one cusp of a fixed ramification
 profile sits inside the Severi variety of genus-g curves; comparing its
 codimension with the expected one, (n-2)g for curves in P^3, yields an excess
-predicate.  All comparisons are exact; rational values use Fraction.
+predicate.  All comparisons are exact and made on integers: the
+supersymmetric bounds are compared after scaling by their denominators (12
+for the bound polynomial, 4 for the rho cap), and a Fraction is built only
+to report a rational value.
 """
 
 from __future__ import annotations
@@ -84,19 +87,18 @@ def supersym_codim(a: int, b: int, c: int) -> int:
     return 2 * rho(a, b, c) + sum(t.pairwise_products) - 7
 
 
+def _bound_polynomial_12(t: SupersymTriple) -> int:
+    """12 times the bound polynomial: 4abc - 7(ab+ac+bc) - 2(a+b+c) + 47."""
+    return 4 * t.product - 7 * sum(t.pairwise_products) - 2 * (t.a + t.b + t.c) + 47
+
+
 def bound_polynomial(a: int, b: int, c: int) -> Fraction:
     """Exact value of abc/3 - 7(ab+ac+bc)/12 - (a+b+c)/6 + 47/12.
 
     Nonnegative exactly when the sufficient inequality behind the supersymmetric
     excess predicate holds on polynomial grounds alone.
     """
-    t = SupersymTriple(a, b, c)
-    return (
-        Fraction(t.product, 3)
-        - Fraction(7 * sum(t.pairwise_products), 12)
-        - Fraction(a + b + c, 6)
-        + Fraction(47, 12)
-    )
+    return Fraction(_bound_polynomial_12(SupersymTriple(a, b, c)), 12)
 
 
 def excess_supersym(a: int, b: int, c: int) -> CodimReport:
@@ -106,19 +108,17 @@ def excess_supersym(a: int, b: int, c: int) -> CodimReport:
     r = rho(a, b, c)
     codim = 2 * r + sum(t.pairwise_products) - 7
     nodal = g  # (n - 2) * g for curves in P^3
-    rho_cap = (
-        Fraction(t.product, 2)
-        - Fraction(3 * sum(t.pairwise_products), 4)
-        + Fraction(15, 4)
-    )
-    fpoly = bound_polynomial(a, b, c)
+    # rhobound1: rho < abc/2 - 3(ab+ac+bc)/4 + 15/4, compared times 4
+    rho_cap_4 = 2 * t.product - 3 * sum(t.pairwise_products) + 15
+    fpoly_12 = _bound_polynomial_12(t)
+    fpoly_nonneg = fpoly_12 >= 0
     trace = (
         TraceEntry("codim-vs-nodal", f"{codim} < {nodal}", codim < nodal),
-        TraceEntry("rhobound1", f"rho {r} < {rho_cap}", Fraction(r) < rho_cap),
+        TraceEntry("rhobound1", f"rho {r} < {Fraction(rho_cap_4, 4)}", 4 * r < rho_cap_4),
         TraceEntry(
             "f-polynomial",
-            f"{fpoly} {'>= 0' if fpoly >= 0 else '< 0'}",
-            fpoly >= 0,
+            f"{Fraction(fpoly_12, 12)} {'>= 0' if fpoly_nonneg else '< 0'}",
+            fpoly_nonneg,
         ),
         TraceEntry("degree-threshold", f"applies for degree d >= {2 * g}", None),
     )

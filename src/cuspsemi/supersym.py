@@ -4,8 +4,10 @@ For pairwise coprime 2 <= a < b < c the semigroup S = <ab, ac, bc> has closed
 forms for its Frobenius number and genus, a unique-factorization zone below
 abc, and a residue-triple description of its elements congruent to 1 mod abc.
 The count rho of gaps above abc is computed along two independent routes (a
-direct member count and an exact lattice-point count of a rational simplex)
-that must agree.  Everything is exact: integers and Fractions only.
+sieve member count and an exact lattice-point count of a rational simplex,
+taken by floor sums) that must agree.  Everything is exact: integers and
+Fractions only.  A guarded result that fails its own check raises
+:class:`MethodMismatchError`, which ``python -O`` keeps.
 """
 
 from __future__ import annotations
@@ -20,7 +22,9 @@ from cuspsemi.series import DEFAULT_PRIME, capture_conductors
 
 
 class MethodMismatchError(RuntimeError):
-    """Two supposedly equivalent computations disagreed; an implementation bug."""
+    """Two supposedly equivalent computations disagreed, or a guarded result
+    failed its own check; an implementation bug.
+    """
 
 
 class NotApplicableError(ValueError):
@@ -52,7 +56,12 @@ class SupersymTriple:
 
 
 def coprime_triples(max_abc: int, min_a: int = 2) -> Iterator[tuple[int, int, int]]:
-    """All pairwise coprime triples min_a <= a < b < c with abc <= max_abc, ascending."""
+    """All pairwise coprime triples min_a <= a < b < c with abc <= max_abc, ascending.
+
+    Raises ValueError before the first triple when min_a < 2.
+    """
+    if min_a < 2:
+        raise ValueError(f"min_a must be at least 2, got min_a={min_a}")
     a = min_a
     while a * (a + 1) * (a + 2) <= max_abc:
         b = a + 1
@@ -80,7 +89,8 @@ def frobenius_formula(a: int, b: int, c: int) -> int:
 def genus_formula(a: int, b: int, c: int) -> int:
     """Closed form (F + 1) / 2 for the genus; the semigroup is symmetric."""
     f = frobenius_formula(a, b, c)
-    assert (f + 1) % 2 == 0
+    if f % 2 == 0:
+        raise MethodMismatchError(f"genus_formula({a},{b},{c}): Frobenius number {f} is even")
     return (f + 1) // 2
 
 
@@ -97,31 +107,54 @@ class SimplexSpec:
             value = getattr(self, name)
             if not isinstance(value, Fraction):
                 object.__setattr__(self, name, Fraction(value))
-        if self.alpha <= 0 or self.beta <= 0 or self.gamma <= 0:
+        # a Fraction's denominator is positive, so its numerator carries the sign
+        if self.alpha.numerator <= 0 or self.beta.numerator <= 0 or self.gamma.numerator <= 0:
             raise ValueError("intercepts must be positive")
+
+
+def _floor_sum(n: int, m: int, a: int, b: int) -> int:
+    """Sum of (a*i + b) // m over 0 <= i < n, for n, a, b >= 0 and m >= 1.
+
+    The AtCoder Library ``floor_sum``: split off the whole parts of a/m and
+    b/m, then count the remaining points under the line with the roles of a
+    and m swapped, as in Euclid's algorithm, so it takes O(log m) steps.
+    """
+    total = 0
+    while True:
+        if a >= m:
+            total += n * (n - 1) // 2 * (a // m)
+            a %= m
+        if b >= m:
+            total += n * (b // m)
+            b %= m
+        y_max = a * n + b
+        if y_max < m:
+            return total
+        n, b = divmod(y_max, m)
+        m, a = a, m
 
 
 def lattice_count(spec: SimplexSpec) -> int:
     """Exact number of nonnegative integer points in the simplex.
 
-    The condition is cross-multiplied once so the scan runs on plain integers.
+    The condition is cross-multiplied once into u*x + v*y + w*z <= total on
+    plain integers, with the weights sorted so that u >= v >= w.  The loop
+    runs over x, whose weight is the largest (its intercept the smallest), so
+    it takes floor(min intercept) + 1 steps.  For each x, with rest = total -
+    u*x and top = rest // v, the points (y, z) are counted by one floor sum:
+    writing y = top - j, they number the sum over 0 <= j <= top of
+    (v*j + rest % v) // w + 1, which is ``_floor_sum`` plus top + 1.  The
+    direct scan over x and y is kept as the test oracle.
     """
     pa, qa = spec.alpha.numerator, spec.alpha.denominator
     pb, qb = spec.beta.numerator, spec.beta.denominator
     pc, qc = spec.gamma.numerator, spec.gamma.denominator
-    wx = qa * pb * pc
-    wy = qb * pa * pc
-    wz = qc * pa * pb
     total = pa * pb * pc
+    u, v, w = sorted((qa * pb * pc, qb * pa * pc, qc * pa * pb), reverse=True)
     count = 0
-    x = 0
-    while wx * x <= total:
-        rx = total - wx * x
-        y = 0
-        while wy * y <= rx:
-            count += (rx - wy * y) // wz + 1
-            y += 1
-        x += 1
+    for x in range(total // u + 1):
+        top, low = divmod(total - u * x, v)
+        count += _floor_sum(top + 1, w, v, low) + top + 1
     return count
 
 
@@ -192,7 +225,10 @@ def abc_normal_form(a: int, b: int, c: int, n: int) -> tuple[int, int, int]:
     x = n * pow(a * b, -1, c) % c
     y = n * pow(a * c, -1, b) % b
     z, r = divmod(n - x * a * b - y * a * c, b * c)
-    assert r == 0, "Chinese-remainder reduction must divide exactly"
+    if r != 0:
+        raise MethodMismatchError(
+            f"abc_normal_form({a},{b},{c},{n}): Chinese-remainder reduction leaves {r}"
+        )
     return (x, y, z)
 
 
@@ -255,7 +291,10 @@ def min_congruent_one(a: int, b: int, c: int) -> int:
     r = residue_triple(a, b, c)
     value = r.gamma_hat * a * b + r.beta_hat * a * c + r.alpha_hat * b * c
     abc = a * b * c
-    assert value in (abc + 1, 2 * abc + 1)
+    if value not in (abc + 1, 2 * abc + 1):
+        raise MethodMismatchError(
+            f"min_congruent_one({a},{b},{c}): {value} is neither abc + 1 nor 2abc + 1"
+        )
     return value
 
 

@@ -191,6 +191,14 @@ def test_sweep_supersym_spot_row(capsys):
     assert spot == "4,5,7,99,197,8,92,99,true,true,negative,true,96,177"
 
 
+@pytest.mark.parametrize("min_a", ["0", "1"])
+def test_sweep_supersym_rejects_min_a_below_two(capsys, min_a):
+    code, out, err = run_cli(capsys, "sweep", "--family", "supersym", "--min-a", min_a, "--max-abc", "10")
+    assert code == 2
+    assert out == ""
+    assert f"min_a must be at least 2, got min_a={min_a}" in err
+
+
 def test_sweep_arith_csv(capsys):
     code, out, _ = run_cli(capsys, "sweep", "--family", "arith", "--m", "2..2", "--l", "4..8")
     assert code == 0

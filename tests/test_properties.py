@@ -1,5 +1,7 @@
-"""Property tests: the sieve, the Apery table and the normal form agree on <ab, ac, bc>."""
+"""Property tests: the sieve, the Apery table and the normal form agree on <ab, ac, bc>,
+and the floor-sum lattice count agrees with the direct scan."""
 
+from fractions import Fraction
 from math import gcd
 
 import pytest
@@ -10,6 +12,7 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from cuspsemi import supersym  # noqa: E402
+from test_supersym import scan_lattice_count  # noqa: E402
 
 triples = (
     st.lists(st.integers(2, 16), min_size=3, max_size=3, unique=True)
@@ -38,3 +41,13 @@ def test_factorizations_equal_normal_form_shifts(t, ns):
     s = supersym.supersym_semigroup(a, b, c)
     for n in ns:
         assert tuple(s.factorizations(n)) == supersym.abc_all_factorizations(a, b, c, n)
+
+
+intercepts = st.builds(Fraction, st.integers(1, 400), st.integers(1, 16))
+
+
+@settings(max_examples=200, deadline=None)
+@given(intercepts, intercepts, intercepts)
+def test_lattice_count_equals_scan(alpha, beta, gamma):
+    spec = supersym.SimplexSpec(alpha, beta, gamma)
+    assert supersym.lattice_count(spec) == scan_lattice_count(spec)

@@ -33,6 +33,32 @@ def test_bound_polynomial_signs():
     assert severi.bound_polynomial(5, 6, 7) == Fraction(17, 2)
 
 
+def fraction_bound_checks(a, b, c, r):
+    """Oracle: the f-polynomial and rhobound1 entries as exact Fraction arithmetic."""
+    pairs = a * b + a * c + b * c
+    fpoly = Fraction(a * b * c, 3) - Fraction(7 * pairs, 12) - Fraction(a + b + c, 6) + Fraction(47, 12)
+    rho_cap = Fraction(a * b * c, 2) - Fraction(3 * pairs, 4) + Fraction(15, 4)
+    return (
+        fpoly,
+        ("rhobound1", f"rho {r} < {rho_cap}", Fraction(r) < rho_cap),
+        ("f-polynomial", f"{fpoly} {'>= 0' if fpoly >= 0 else '< 0'}", fpoly >= 0),
+    )
+
+
+def test_integer_bound_checks_match_fractions():
+    signs = set()
+    for a, b, c in supersym.coprime_triples(5000):
+        rep = severi.excess_supersym(a, b, c)
+        r = (rep.codim - (a * b + a * c + b * c) + 7) // 2
+        fpoly, rhobound1, fsign = fraction_bound_checks(a, b, c, r)
+        assert severi.bound_polynomial(a, b, c) == fpoly
+        entries = {t.name: (t.name, t.detail, t.holds) for t in rep.predicate_trace}
+        assert entries["rhobound1"] == rhobound1, (a, b, c)
+        assert entries["f-polynomial"] == fsign, (a, b, c)
+        signs.add((rhobound1[2], fsign[2]))
+    assert signs == {(True, True), (True, False), (False, False)}
+
+
 def test_excess_supersym_reports():
     rep = severi.excess_supersym(4, 5, 9)
     assert rep.genus == 130

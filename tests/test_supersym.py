@@ -1,4 +1,5 @@
 import os
+import random
 from fractions import Fraction
 
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from cuspsemi import series, supersym, verify
 from cuspsemi.semigroup import NumericalSemigroup
 from cuspsemi.supersym import (
+    MethodMismatchError,
     NotApplicableError,
     SimplexSpec,
     SupersymTriple,
@@ -31,6 +33,12 @@ def test_coprime_triples_enumeration():
     assert all(a * b * c <= 200 for a, b, c in triples)
     assert triples == sorted(triples)
     assert list(supersym.coprime_triples(90, min_a=3)) == [(3, 4, 5), (3, 4, 7)]
+
+
+@pytest.mark.parametrize("min_a", [-3, 0, 1])
+def test_coprime_triples_rejects_min_a_below_two(min_a):
+    with pytest.raises(ValueError, match="min_a must be at least 2"):
+        next(supersym.coprime_triples(10, min_a=min_a))
 
 
 def test_closed_forms_match_sieve():
@@ -66,6 +74,95 @@ def test_lattice_count_examples():
         SimplexSpec(1, 0, 1)
 
 
+def scan_lattice_count(spec: SimplexSpec) -> int:
+    """Oracle: the direct scan over x and y, one division per (x, y)."""
+    pa, qa = spec.alpha.numerator, spec.alpha.denominator
+    pb, qb = spec.beta.numerator, spec.beta.denominator
+    pc, qc = spec.gamma.numerator, spec.gamma.denominator
+    wx = qa * pb * pc
+    wy = qb * pa * pc
+    wz = qc * pa * pb
+    total = pa * pb * pc
+    count = 0
+    x = 0
+    while wx * x <= total:
+        rx = total - wx * x
+        y = 0
+        while wy * y <= rx:
+            count += (rx - wy * y) // wz + 1
+            y += 1
+        x += 1
+    return count
+
+
+@pytest.mark.parametrize(
+    "n, m, a, b",
+    [(0, 5, 3, 2), (1, 5, 3, 2), (1, 3, 7, 11), (6, 4, 0, 9), (6, 4, 0, 3), (9, 4, 10, 1),
+     (9, 7, 3, 20), (5, 1, 1, 0), (100, 97, 89, 96), (1000, 10**9 + 7, 10**12, 10**15)],
+)
+def test_floor_sum_named_cases(n, m, a, b):
+    assert supersym._floor_sum(n, m, a, b) == sum((a * i + b) // m for i in range(n))
+
+
+def test_floor_sum_matches_direct_sum():
+    rng = random.Random(6)
+    for _ in range(2000):
+        n = rng.randrange(1, 60)
+        m = rng.randrange(1, 50)
+        a = rng.randrange(0, 3 * m)  # a >= m about two times in three
+        b = rng.randrange(0, 3 * m)
+        assert supersym._floor_sum(n, m, a, b) == sum((a * i + b) // m for i in range(n))
+
+
+def test_lattice_count_matches_scan_on_random_specs():
+    rng = random.Random(7)
+    below_one = 0
+    for _ in range(600):
+        intercepts = []
+        for _ in range(3):
+            q = rng.randrange(2, 13)
+            p = rng.randrange(1, 25 * q)
+            if p % q == 0:
+                p += 1
+            intercepts.append(Fraction(p, q))  # never an integer
+        below_one += sum(i < 1 for i in intercepts)
+        spec = SimplexSpec(*intercepts)
+        assert supersym.lattice_count(spec) == scan_lattice_count(spec), spec
+    assert below_one > 0
+
+
+def test_lattice_count_matches_scan_on_rho_simplices():
+    checked = 0
+    for a, b, c in supersym.coprime_triples(3000):
+        spec = supersym.rho_simplex(a, b, c)
+        if spec is None:
+            continue
+        checked += 1
+        assert supersym.lattice_count(spec) == scan_lattice_count(spec), (a, b, c)
+    assert checked == 1965
+
+
+def test_lattice_count_loops_over_the_smallest_intercept(monkeypatch):
+    # one floor sum per value of the outer variable, which must be the one
+    # with the fewest values: floor(min intercept) + 1 of them
+    calls = []
+    floor_sum = supersym._floor_sum
+
+    def counted(*args):
+        calls.append(args)
+        return floor_sum(*args)
+
+    monkeypatch.setattr(supersym, "_floor_sum", counted)
+    for spec in (
+        SimplexSpec(1000, 2, 1),
+        SimplexSpec(1000, Fraction(1, 2), 3),
+        SimplexSpec(Fraction(7, 2), 1000, 999),
+    ):
+        calls.clear()
+        assert supersym.lattice_count(spec) == scan_lattice_count(spec)
+        assert len(calls) == int(min(spec.alpha, spec.beta, spec.gamma)) + 1
+
+
 def test_yz_bounds_on_rho_simplex():
     spec = supersym.rho_simplex(4, 5, 7)
     assert supersym.yz_hypothesis(spec)
@@ -95,6 +192,13 @@ def test_normal_form_bounds():
         x, y, z = supersym.abc_normal_form(3, 5, 7, n)
         assert 0 <= x < 7 and 0 <= y < 5
         assert 15 * x + 21 * y + 35 * z == n
+
+
+def test_normal_form_raises_on_inexact_reduction(monkeypatch):
+    # a broken inverse leaves a remainder; the check survives python -O
+    monkeypatch.setattr(supersym, "pow", lambda *args: 0, raising=False)
+    with pytest.raises(MethodMismatchError, match="Chinese-remainder"):
+        supersym.abc_normal_form(3, 4, 5, 1)
 
 
 def test_all_factorizations():
@@ -128,6 +232,18 @@ def test_min_congruent_one():
         abc = a * b * c
         assert value in (abc + 1, 2 * abc + 1)
         assert supersym.abc_member(a, b, c, value)
+
+
+def test_min_congruent_one_raises_on_wrong_residue_triple(monkeypatch):
+    monkeypatch.setattr(supersym, "residue_triple", lambda a, b, c: supersym.ResidueTriple(1, 1, 1))
+    with pytest.raises(MethodMismatchError, match="neither abc \\+ 1 nor 2abc \\+ 1"):
+        supersym.min_congruent_one(3, 4, 5)
+
+
+def test_genus_formula_raises_on_even_frobenius(monkeypatch):
+    monkeypatch.setattr(supersym, "frobenius_formula", lambda a, b, c: 58)
+    with pytest.raises(MethodMismatchError, match="Frobenius number 58 is even"):
+        supersym.genus_formula(3, 4, 5)
 
 
 def test_s_prime_formulas():
