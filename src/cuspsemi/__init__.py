@@ -11,12 +11,18 @@ command line maps to exit codes; everything else is imported from its module
 """
 
 from cuspsemi.semigroup import GcdNotOneError, NumericalSemigroup
-from cuspsemi.series import PrecisionTooSmallError, SeedDisagreementError, empirical_generic_semigroup
+from cuspsemi.series import (
+    AchievedSetError,
+    PrecisionTooSmallError,
+    SeedDisagreementError,
+    empirical_generic_semigroup,
+)
 from cuspsemi.supersym import MethodMismatchError, NotApplicableError, rho
 
 __version__ = "0.1.0"
 
 __all__ = [
+    "AchievedSetError",
     "GcdNotOneError",
     "MethodMismatchError",
     "NotApplicableError",

@@ -12,23 +12,32 @@ the evidence that the instance is generic.  Once the conductor is captured and
 the achieved set is checked to be additively closed, the value semigroup is a
 :class:`~cuspsemi.semigroup.NumericalSemigroup` like any other.
 
-Both kernels run on Python integers that pack one fixed-width slot per degree
-(Kronecker substitution).  A product of two series truncated to n terms is one
-big-integer multiply with slots of 2 * bits(p) + bits(n) bits, rounded up to
-whole bytes, because each exact product coefficient is below n * p**2.  An
-echelon row keeps its slots unreduced while it is reduced; at most one pivot
-per degree meets it, so slots of 2 * bits(p) + bits(precision) + 1 bits, again
-rounded up to bytes, hold it without a carry.
+Every series is one Python integer with a fixed-width slot per degree
+(Kronecker substitution), in one layout per (prime, precision) horizon that
+the series, their products, the echelon rows and the pivots all share.  With
+b = bits(p) and L = bits(precision + 1), a slot has 2b + 2L + 2 bits, rounded
+up to whole bytes.  That holds every value the kernels form without a carry:
+a product of two series truncated to n slots has slots below n * p**2, and an
+echelon row, which meets at most one pivot per degree, below
+(precision + 1) * p**2.  Both are below 2**(2b + L).  Such slots are reduced
+mod p all at once by whole-integer operations: one Barrett step with
+mu = 2**(2b + L) // p takes q = ((x >> (b - 1)) * mu) >> (b + L + 1) in every
+slot, where both factors are below 2**(b + L + 1), so their product fits the
+slot; q undershoots x // p by at most 2, and two slot-wise conditional
+subtractions of p finish.  A product is then one multiply and one reduction,
+and a new pivot is the row reduced, scaled and reduced again; coefficients
+are unpacked only when they are read.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 from math import gcd
 from typing import Sequence
 
-from cuspsemi.semigroup import NumericalSemigroup
+from cuspsemi.semigroup import NumericalSemigroup, _first_run_start
 
 DEFAULT_PRIME = (1 << 61) - 1  # Mersenne prime, 61 bits
 _MIN_PRIME = 1 << 30
@@ -46,6 +55,14 @@ class PrecisionTooSmallError(ValueError):
 
 class SeedDisagreementError(RuntimeError):
     """Independent random trials produced different value semigroups."""
+
+
+class AchievedSetError(RuntimeError, ArithmeticError):
+    """A Monte-Carlo achieved set is not the value set of a numerical semigroup.
+
+    As an ArithmeticError the command line maps it to the numeric-failure exit
+    code 3; as a RuntimeError it is still caught by ``except RuntimeError``.
+    """
 
 
 @dataclass(frozen=True)
@@ -77,55 +94,152 @@ class RamificationProfile:
         return len(self.orders)
 
 
-@dataclass(frozen=True)
+class _Layout:
+    """The packed-int layout of one (prime, precision) horizon.
+
+    Slot k of a packed int, bits [k * bits, (k + 1) * bits), holds the
+    coefficient of the k-th degree above the lowest one.  Series, products,
+    echelon rows and pivots of one horizon all share this layout.  The masks
+    below repeat one pattern in each of ``precision`` slots, enough for any
+    series of the horizon.
+    """
+
+    __slots__ = (
+        "prime", "precision", "width", "bits", "slot_mask", "ones",
+        "low_shift", "low_mask", "mu", "high_shift", "high_mask", "bias", "top",
+    )
+
+    def __init__(self, prime: int, precision: int) -> None:
+        b = prime.bit_length()
+        level = (precision + 1).bit_length()
+        self.prime = prime
+        self.precision = precision
+        self.width = (2 * b + 2 * level + 2 + 7) // 8
+        self.bits = slot = 8 * self.width
+        self.slot_mask = (1 << slot) - 1
+        self.ones = ones = int.from_bytes((b"\x01" + bytes(self.width - 1)) * precision, "little")
+        # Barrett reduction of a slot value x < 2**bx: q1 = x >> (b - 1) is
+        # below 2**(b + level + 1), and so is mu; their product fits a slot
+        bx = 2 * b + level
+        self.mu = (1 << bx) // prime
+        self.low_shift = b - 1
+        self.low_mask = ones * ((1 << (slot - b + 1)) - 1)
+        self.high_shift = bx - b + 1
+        self.high_mask = ones * ((1 << (slot - self.high_shift)) - 1)
+        # adding 2**(bits - 1) - p sets a slot's top bit exactly when it is >= p
+        self.bias = ones * ((1 << (slot - 1)) - prime)
+        self.top = slot - 1
+
+    def pack(self, values: Sequence[int]) -> int:
+        """One int holding ``values[k]`` in slot k; each value must fit a slot."""
+        width = self.width
+        return int.from_bytes(b"".join(x.to_bytes(width, "little") for x in values), "little")
+
+    def unpack(self, packed: int, count: int) -> list[int]:
+        """The lowest ``count`` slots of ``packed``, which must have no higher ones."""
+        width = self.width
+        raw = packed.to_bytes(count * width, "little")
+        return [int.from_bytes(raw[k : k + width], "little") for k in range(0, count * width, width)]
+
+    def reduce(self, x: int) -> int:
+        """Every slot of ``x`` mod the prime; each slot must be below (precision + 1) * p**2.
+
+        The Barrett quotient undershoots by at most 2, so the remainder is
+        below 3p, and two slot-wise conditional subtractions of p finish.
+        """
+        p = self.prime
+        q = ((((x >> self.low_shift) & self.low_mask) * self.mu) >> self.high_shift) & self.high_mask
+        x -= q * p
+        x -= (((x + self.bias) >> self.top) & self.ones) * p
+        x -= (((x + self.bias) >> self.top) & self.ones) * p
+        return x
+
+    def is_reduced(self, x: int) -> bool:
+        """Whether ``x`` is nonnegative and every slot is below the prime.
+
+        A slot at or above 2**(bits - 1) shows in ``x`` itself; any other slot
+        takes the bias without a carry, so its top bit reads slot >= p.
+        """
+        return x >= 0 and not ((((x + self.bias) | x) >> self.top) & self.ones)
+
+
+@lru_cache(maxsize=16)
+def _layout_of(prime: int, precision: int) -> _Layout:
+    return _Layout(prime, precision)
+
+
+@dataclass(frozen=True, init=False)
 class TruncatedSeries:
     """Power series over F_p known on degrees [valuation, precision).
 
     ``coefficients[k]`` is the coefficient of t**(valuation + k); the leading
-    coefficient is nonzero.
+    coefficient is nonzero.  The series is held as one packed int (``packed``)
+    in the layout of its horizon, with slot k holding ``coefficients[k]``;
+    ``coefficients`` is unpacked when it is first read.
     """
 
     valuation: int
-    coefficients: tuple[int, ...]
+    packed: int
     precision: int
     prime: int
+    _layout: _Layout = field(compare=False, repr=False)
 
-    def __post_init__(self) -> None:
-        if not 0 < self.valuation < self.precision:
+    def __init__(self, valuation: int, coefficients: Sequence[int], precision: int, prime: int) -> None:
+        coefficients = tuple(coefficients)
+        if not 0 < valuation < precision:
             raise ValueError("need 0 < valuation < precision")
-        if len(self.coefficients) != self.precision - self.valuation:
+        if len(coefficients) != precision - valuation:
             raise ValueError("coefficient count must equal precision - valuation")
-        if self.coefficients[0] % self.prime == 0:
+        if coefficients[0] % prime == 0:
             raise ValueError("leading coefficient must be nonzero")
-        if any(not 0 <= x < self.prime for x in self.coefficients):
+        if any(not 0 <= x < prime for x in coefficients):
             raise ValueError("coefficients must be reduced mod the prime")
+        layout = _layout_of(prime, precision)
+        self._set(valuation, layout.pack(coefficients), layout)
+        self.__dict__["coefficients"] = coefficients
+
+    @classmethod
+    def _from_packed(cls, valuation: int, packed: int, layout: _Layout) -> "TruncatedSeries":
+        """The series with slots ``packed``, under the same four checks as the constructor."""
+        precision = layout.precision
+        if not 0 < valuation < precision:
+            raise ValueError("need 0 < valuation < precision")
+        if packed.bit_length() > (precision - valuation) * layout.bits:
+            raise ValueError("coefficient count must equal precision - valuation")
+        if (packed & layout.slot_mask) % layout.prime == 0:
+            raise ValueError("leading coefficient must be nonzero")
+        if not layout.is_reduced(packed):
+            raise ValueError("coefficients must be reduced mod the prime")
+        series = cls.__new__(cls)
+        series._set(valuation, packed, layout)
+        return series
+
+    def _set(self, valuation: int, packed: int, layout: _Layout) -> None:
+        setfield = object.__setattr__
+        setfield(self, "valuation", valuation)
+        setfield(self, "packed", packed)
+        setfield(self, "precision", layout.precision)
+        setfield(self, "prime", layout.prime)
+        setfield(self, "_layout", layout)
+
+    @cached_property
+    def coefficients(self) -> tuple[int, ...]:
+        return tuple(self._layout.unpack(self.packed, self.precision - self.valuation))
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         if self.precision != other.precision or self.prime != other.prime:
             raise ValueError("series must share precision and prime")
-        p = self.prime
         v = self.valuation + other.valuation
         if v >= self.precision:
             raise PrecisionTooSmallError(
                 f"product valuation {v} is at or beyond precision {self.precision}"
             )
-        n = self.precision - v
-        # both operands truncate to n coefficients, so an exact product
-        # coefficient is below n * p**2 and fits its slot without a carry
-        width = (2 * p.bit_length() + n.bit_length() + 7) // 8
-        product = _pack(self.coefficients[:n], width) * _pack(other.coefficients[:n], width)
-        return TruncatedSeries(v, tuple(_unpack(product, width, n, p)), self.precision, p)
-
-
-def _pack(values: Sequence[int], width: int) -> int:
-    """One int holding ``values[k]`` in bytes [k * width, (k + 1) * width)."""
-    return int.from_bytes(b"".join(x.to_bytes(width, "little") for x in values), "little")
-
-
-def _unpack(packed: int, width: int, count: int, prime: int) -> list[int]:
-    """The lowest ``count`` slots of ``packed``, each reduced mod ``prime``."""
-    raw = packed.to_bytes(max(count * width, (packed.bit_length() + 7) // 8), "little")
-    return [int.from_bytes(raw[k : k + width], "little") % prime for k in range(0, count * width, width)]
+        # both operands truncate to the n slots the product keeps; an exact
+        # product slot is below n * p**2 and never carries
+        layout = self._layout
+        low = (1 << (self.precision - v) * layout.bits) - 1
+        product = (self.packed & low) * (other.packed & low) & low
+        return TruncatedSeries._from_packed(v, layout.reduce(product), layout)
 
 
 def _is_prime(n: int) -> bool:
@@ -196,31 +310,27 @@ def _exponents_below(orders: tuple[int, ...], precision: int) -> list[tuple[int,
     return [exp for _, exp in found]
 
 
-def _row_width(prime: int, precision: int) -> int:
-    """Bytes per slot of an echelon row: room for (precision + 1) * prime**2."""
-    return (2 * prime.bit_length() + precision.bit_length() + 1 + 7) // 8
+def _insert_row(pivots: dict[int, int], series: TruncatedSeries) -> int | None:
+    """Reduce a series' row against the pivot rows; record a new pivot at its leading degree.
 
+    Returns the new pivot degree, or None when the row reduces to zero below
+    the horizon.
 
-def _insert_row(pivots: dict[int, int], valuation: int, coeffs: Sequence[int], prime: int) -> int | None:
-    """Reduce a row against the pivot rows; record a new pivot at its leading degree.
-
-    ``coeffs`` covers degrees [valuation, precision).  Returns the new pivot
-    degree, or None when the row reduces to zero below the horizon.
-
-    Rows and pivots are packed ints with one slot of :func:`_row_width` bytes
-    per degree, the lowest slot holding the leading degree.  A pivot covers
-    [degree, precision) with reduced slots and leading slot 1, so one
-    reduction is ``row += (p - c) * pivot`` and adds less than p**2 to each
-    slot.  Row slots stay unreduced; a row meets at most one pivot per degree,
-    so each slot stays below (precision + 1) * p**2 and never carries into
-    the next one.
+    Rows and pivots are packed ints in the series' layout, the lowest slot
+    holding the leading degree.  A pivot covers [degree, precision) with
+    reduced slots and leading slot 1, so one reduction is
+    ``row += (p - c) * pivot`` and adds less than p**2 to each slot.  Row
+    slots stay unreduced; a row meets at most one pivot per degree, so each
+    slot stays below (precision + 1) * p**2 and never carries into the next
+    one.  A new pivot is the row reduced, scaled by the inverse of its leading
+    slot and reduced again.
     """
-    precision = valuation + len(coeffs)
-    width = _row_width(prime, precision)
-    bits = 8 * width
-    mask = (1 << bits) - 1
-    row = _pack(coeffs, width)
-    degree = valuation
+    layout = series._layout
+    prime = layout.prime
+    bits = layout.bits
+    mask = layout.slot_mask
+    row = series.packed
+    degree = series.valuation
     while row:
         c = (row & mask) % prime
         if not c:
@@ -229,24 +339,23 @@ def _insert_row(pivots: dict[int, int], valuation: int, coeffs: Sequence[int], p
             continue
         pivot = pivots.get(degree)
         if pivot is None:
-            inv = pow(c, -1, prime)
-            slots = _unpack(row, width, precision - degree, prime)
-            pivots[degree] = _pack([inv * x % prime for x in slots], width)
+            pivots[degree] = layout.reduce(layout.reduce(row) * pow(c, -1, prime))
             return degree
         row += (prime - c) * pivot
     return None
 
 
+def _achieved_bits(achieved: Sequence[int]) -> int:
+    """Bitmask with bit x set for each x in ``achieved``."""
+    bits = 0
+    for x in achieved:
+        bits |= 1 << x
+    return bits
+
+
 def detect_conductor(achieved: Sequence[int], run_length: int) -> int | None:
     """Start of the first run of ``run_length`` consecutive values, if present."""
-    run = 0
-    prev: int | None = None
-    for x in achieved:
-        run = run + 1 if prev is not None and x == prev + 1 else 1
-        if run == run_length:
-            return x - run_length + 1
-        prev = x
-    return None
+    return _first_run_start(_achieved_bits(achieved), run_length)
 
 
 def value_semigroup(
@@ -286,7 +395,7 @@ def value_semigroup(
             parent = exp[:j] + (exp[j] - 1,) + exp[j + 1 :]
             series = memo[parent] * base[j]
             memo[exp] = series
-        _insert_row(pivots, series.valuation, series.coefficients, prime)
+        _insert_row(pivots, series)
 
     achieved = sorted({0, *pivots})
     if detect_conductor(achieved, orders[0]) is None:
@@ -341,17 +450,19 @@ def capture_conductors(
             raise PrecisionTooSmallError(
                 f"conductor not captured for {prof.orders} after {_HORIZON_ATTEMPTS} horizons"
             )
-        conductor = detect_conductor(achieved, r1)
-        assert conductor is not None
-        members = set(achieved)
-        if any(x not in members for x in range(conductor, precision)):
-            raise RuntimeError("achieved set is not closed above its conductor")
+        bits = _achieved_bits(achieved)
+        conductor = _first_run_start(bits, r1)
+        if conductor is None:
+            raise AchievedSetError(f"achieved set has no run of {r1} consecutive values")
+        above = (1 << (precision - conductor)) - 1
+        if (bits >> conductor) & above != above:
+            raise AchievedSetError("achieved set is not closed above its conductor")
+        if not bits & 1:
+            raise AchievedSetError("achieved set must contain 0")
         below = [x for x in achieved if x < conductor]
-        if below[0] != 0:
-            raise RuntimeError("achieved set must contain 0")
         semigroup = NumericalSemigroup(below[1:] + list(range(conductor, conductor + r1)))
         if semigroup.member_count_below(conductor) != len(below):
-            raise RuntimeError("achieved set is not additively closed")
+            raise AchievedSetError("achieved set is not additively closed")
         results.append(semigroup)
     return results
 
@@ -379,7 +490,7 @@ def empirical_generic_semigroup(
             f"trials disagree for profile {prof.orders} with base seed {base_seed}"
         )
     if any(not semigroup.contains(r) for r in prof.orders):
-        raise RuntimeError("achieved set must contain every profile order")
+        raise AchievedSetError("achieved set must contain every profile order")
     return semigroup
 
 
@@ -401,14 +512,16 @@ def combination_valuation_probe(
     if any(a == 0 for a in coeffs):
         raise ValueError("coefficients must be nonzero mod the prime")
 
+    # a shifted sum in the series' layout: every term adds below p**2 to a
+    # slot, so reducing after each ``precision`` terms keeps slots in range
+    layout = series_list[0]._layout
     base = min(s.valuation for s in series_list)
-    acc = [0] * (precision - base)
-    for s, a in zip(series_list, coeffs):
-        off = s.valuation - base
-        for i, c in enumerate(s.coefficients):
-            if c:
-                acc[off + i] = (acc[off + i] + a * c) % prime
-    for i, x in enumerate(acc):
-        if x:
-            return base + i
-    return None
+    acc = 0
+    for k, (s, a) in enumerate(zip(series_list, coeffs), 1):
+        acc += a * s.packed << (s.valuation - base) * layout.bits
+        if k % precision == 0:
+            acc = layout.reduce(acc)
+    acc = layout.reduce(acc)
+    if not acc:
+        return None
+    return base + ((acc & -acc).bit_length() - 1) // layout.bits

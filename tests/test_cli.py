@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from cuspsemi import cli, verify
+from cuspsemi import cli, series, verify
 from cuspsemi.verify import CheckResult
 
 
@@ -260,3 +260,15 @@ def test_console_script_parity():
     )
     assert a.returncode == b.returncode == 0
     assert a.stdout == b.stdout
+
+
+def test_generic_achieved_set_error_exits_three(capsys, monkeypatch):
+    # closed above the conductor 9, but 4 + 4 = 8 is missing below it
+    def not_closed(profile, precision, prime=series.DEFAULT_PRIME, seed=0):
+        return (0, 4, 6, 7) + tuple(range(9, precision))
+
+    monkeypatch.setattr(series, "value_semigroup", not_closed)
+    code, out, err = run_cli(capsys, "generic", "--profile", "4,6")
+    assert code == 3
+    assert out == ""
+    assert err == "error: achieved set is not additively closed\n"

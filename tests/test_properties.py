@@ -1,5 +1,6 @@
 """Property tests: the sieve, the Apery table and the normal form agree on <ab, ac, bc>,
-and the floor-sum lattice count agrees with the direct scan."""
+the floor-sum lattice count agrees with the direct scan, and the slot-wise
+reduction of packed series agrees with ``%``."""
 
 from fractions import Fraction
 from math import gcd
@@ -11,7 +12,8 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from cuspsemi import supersym  # noqa: E402
+from cuspsemi import series, supersym  # noqa: E402
+from test_series import PRIMES, reduction_edges  # noqa: E402
 from test_supersym import scan_lattice_count  # noqa: E402
 
 triples = (
@@ -51,3 +53,13 @@ intercepts = st.builds(Fraction, st.integers(1, 400), st.integers(1, 16))
 def test_lattice_count_equals_scan(alpha, beta, gamma):
     spec = supersym.SimplexSpec(alpha, beta, gamma)
     assert supersym.lattice_count(spec) == scan_lattice_count(spec)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(PRIMES), st.integers(3, 1000), st.data())
+def test_slotwise_reduction_equals_mod(prime, precision, data):
+    top = (precision + 1) * prime**2
+    slot = st.one_of(st.sampled_from(reduction_edges(prime, precision)), st.integers(0, top - 1))
+    xs = data.draw(st.lists(slot, min_size=1, max_size=min(precision, 64)))
+    layout = series._layout_of(prime, precision)
+    assert layout.unpack(layout.reduce(layout.pack(xs)), len(xs)) == [x % prime for x in xs]

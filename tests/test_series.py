@@ -52,13 +52,13 @@ def reduce_row_by_lists(pivots, valuation, coeffs, prime):
 
 
 def replay_rows(rows, prime):
-    """Insert ``rows`` by both routes; return (degrees, pivot lists) of each."""
+    """Insert the series ``rows`` by both routes; return (degrees, pivot lists) of each."""
     packed, lists = {}, {}
-    got = [series._insert_row(packed, v, c, prime) for v, c in rows]
-    want = [reduce_row_by_lists(lists, v, c, prime) for v, c in rows]
-    precision = rows[0][0] + len(rows[0][1])
-    width = series._row_width(prime, precision)
-    unpacked = {d: series._unpack(row, width, precision - d, prime) for d, row in packed.items()}
+    got = [series._insert_row(packed, s) for s in rows]
+    want = [reduce_row_by_lists(lists, s.valuation, s.coefficients, prime) for s in rows]
+    precision = rows[0].precision
+    layout = series._layout_of(prime, precision)
+    unpacked = {d: layout.unpack(row, precision - d) for d, row in packed.items()}
     return (got, unpacked), (want, lists)
 
 
@@ -228,8 +228,9 @@ def test_kronecker_product_matches_schoolbook(prime):
 
 
 def test_kronecker_product_worst_case_slots():
-    # every exact coefficient (k + 1) * (p - 1)**2 fills its slot; one byte
-    # less and slot 1 already carries into slot 2
+    # every exact coefficient (k + 1) * (p - 1)**2 lies near the top of the
+    # reduction's range, where the Barrett product needs the whole slot; one
+    # byte less and it carries into the next slot
     p, precision = BIG_PRIME, 43
     f = TruncatedSeries(1, (p - 1,) * (precision - 1), precision, p)
     g = TruncatedSeries(2, (p - 1,) * (precision - 2), precision, p)
@@ -243,9 +244,9 @@ def test_packed_rows_match_list_reduction(monkeypatch, prime):
     rows = []
     insert = series._insert_row
 
-    def record(pivots, valuation, coeffs, p):
-        rows.append((valuation, tuple(coeffs)))
-        return insert(pivots, valuation, coeffs, p)
+    def record(pivots, row):
+        rows.append(row)
+        return insert(pivots, row)
 
     monkeypatch.setattr(series, "_insert_row", record)
     # the horizon capture_conductors reaches: start_precision, doubled once
@@ -263,16 +264,213 @@ def test_packed_row_worst_case_slots():
     # pivots 1, p-1, ..., p-1 at every degree but the last three; the row
     # 1, 0, ..., 0 meets each of them with a multiplier near p, so the slots
     # of the final three degrees collect about precision * p**2.  One byte
-    # less and they carry after the second reduction.
+    # less and the Barrett step that makes the new pivot carries.
     p, precision = BIG_PRIME, 60
-    rows = [(d, (1,) + (p - 1,) * (precision - d - 1)) for d in range(1, precision - 3)]
-    rows.append((1, (1,) + (0,) * (precision - 2)))
+    def pivot_row(d):
+        return TruncatedSeries(d, (1,) + (p - 1,) * (precision - d - 1), precision, p)
+
+    rows = [pivot_row(d) for d in range(1, precision - 3)]
+    rows.append(TruncatedSeries(1, (1,) + (0,) * (precision - 2), precision, p))
     (got, packed), (want, lists) = replay_rows(rows, p)
     assert got == want
     assert got[-1] == precision - 3
     assert packed == lists
     # the same row against a pivot at every degree reduces to zero
-    full = [(d, (1,) + (p - 1,) * (precision - d - 1)) for d in range(1, precision)]
+    full = [pivot_row(d) for d in range(1, precision)]
     (got, _), (want, _) = replay_rows(full + rows[-1:], p)
     assert got == want
     assert got[-1] is None
+
+
+def reduction_edges(prime, precision):
+    """Slot values at the ends of the reduction's range and of each Barrett correction."""
+    p = prime
+    return [0, p - 1, p, 2 * p, 3 * p - 1, p * p, (precision + 1) * p * p - 1]
+
+
+@pytest.mark.parametrize("prime", PRIMES)
+def test_slotwise_reduction_matches_mod(prime):
+    rng = random.Random(prime + 1)
+    for precision in (3, 4, 9, 40, 157, 394, 1000):
+        layout = series._layout_of(prime, precision)
+        edges = reduction_edges(prime, precision)
+        top = (precision + 1) * prime**2
+        vectors = [[e] * precision for e in edges]
+        for _ in range(20):
+            count = rng.randint(1, precision)
+            vectors.append([rng.choice(edges) if rng.random() < 0.3 else rng.randrange(top) for _ in range(count)])
+        for xs in vectors:
+            packed = layout.pack(xs)
+            reduced = layout.reduce(packed)
+            assert layout.unpack(reduced, len(xs)) == [x % prime for x in xs]
+            assert layout.is_reduced(reduced)
+            assert layout.is_reduced(packed) == all(x < prime for x in xs)
+
+
+@pytest.mark.parametrize(
+    "prime, precision",
+    [(2**31 + 11, 3), (2**31 + 11, 40), (2**63 + 29, 3), (2**63 + 29, 40), (2**32 - 5789, 1022)],
+)
+def test_slotwise_reduction_at_the_top_of_its_range(prime, precision):
+    # the Barrett quotient falls furthest short of x // p for slots near
+    # (precision + 1) * p**2 whose low b - 1 bits are all set: by 2 for a
+    # prime just above a power of two, so both conditional subtractions are
+    # needed, and by 3 if mu were one smaller for a prime whose
+    # 2**(2b + L) / p has a fractional part near 1, as 2**32 - 5789 at 1022
+    b = prime.bit_length()
+    layout = series._layout_of(prime, precision)
+    top = (precision + 1) * prime**2
+    highest = top >> (b - 1)
+    xs = [x for x in (((k + 1) << (b - 1)) - 1 for k in range(highest - 3000, highest + 1)) if x < top]
+    for start in range(0, len(xs), precision):
+        chunk = xs[start : start + precision]
+        assert layout.unpack(layout.reduce(layout.pack(chunk)), len(chunk)) == [x % prime for x in chunk]
+
+
+@pytest.mark.parametrize("prime", PRIMES)
+def test_reduced_check_reads_every_slot(prime):
+    # slots at or above 2**(bits - 1) would carry when biased; they must
+    # still read as unreduced, next to reduced neighbours on either side
+    precision = 9
+    layout = series._layout_of(prime, precision)
+    for bad in (prime, 2 * prime, 1 << (layout.bits - 1), (1 << layout.bits) - 1):
+        for k in range(precision):
+            xs = [prime - 1] * precision
+            xs[k] = bad
+            assert not layout.is_reduced(layout.pack(xs))
+    assert layout.is_reduced(layout.pack([prime - 1] * precision))
+    assert not layout.is_reduced(-1)
+
+
+@pytest.mark.parametrize("prime", PRIMES)
+def test_packed_constructor_raises_what_the_tuple_constructor_raises(prime):
+    p, precision = prime, 12
+    layout = series._layout_of(p, precision)
+    ok = (1,) + (p - 1,) * 9  # valuation 2
+    full = (1 << layout.bits) - 1
+    cases = [
+        (0, (1,) * 12),  # valuation 0
+        (12, (1,)),  # valuation at the horizon
+        (2, ok + (1,)),  # one coefficient too many
+        (2, (0,) + ok[1:]),  # leading zero
+        (2, (p,) + ok[1:]),  # leading p, zero mod p
+        (2, (1, p) + ok[2:]),
+        (2, ok[:-1] + (2 * p,)),
+        (2, (1, 0, 1 << (layout.bits - 1)) + ok[3:]),
+        (2, (1, full, 0) + ok[3:]),
+    ]
+    for valuation, coeffs in cases:
+        with pytest.raises(ValueError) as by_tuple:
+            TruncatedSeries(valuation, coeffs, precision, p)
+        with pytest.raises(ValueError) as by_packed:
+            TruncatedSeries._from_packed(valuation, layout.pack(coeffs), layout)
+        assert str(by_packed.value) == str(by_tuple.value), (valuation, coeffs)
+    with pytest.raises(ValueError, match="reduced"):
+        TruncatedSeries._from_packed(2, -1, layout)
+    assert TruncatedSeries._from_packed(2, layout.pack(ok), layout) == TruncatedSeries(2, ok, precision, p)
+
+
+@pytest.mark.parametrize("prime", PRIMES)
+def test_products_and_constructed_series_agree_on_eq_and_hash(prime):
+    rng = random.Random(prime + 2)
+    for precision in (4, 40, 157):
+        for _ in range(10):
+            va = rng.randrange(1, precision - 1)
+            vb = rng.randrange(1, precision - va)
+            f = _sparse_series(rng, va, precision, prime)
+            g = _sparse_series(rng, vb, precision, prime)
+            product = f * g  # coefficients not read yet
+            built = schoolbook_product(f, g)
+            assert product == built
+            assert hash(product) == hash(built)
+            assert len({product, built}) == 1
+            assert product.coefficients == built.coefficients
+            assert product == TruncatedSeries(product.valuation, product.coefficients, precision, prime)
+
+
+def test_series_are_immutable():
+    f = random_series(2, 10, DEFAULT_PRIME, seed=0)
+    with pytest.raises(AttributeError):
+        f.valuation = 3
+    with pytest.raises(AttributeError):
+        f.packed = 0
+
+
+def probe_by_lists(series_list, coefficients):
+    """Reference valuation probe on coefficient lists; mirrors ``combination_valuation_probe``."""
+    precision, prime = series_list[0].precision, series_list[0].prime
+    base = min(s.valuation for s in series_list)
+    acc = [0] * (precision - base)
+    for s, a in zip(series_list, coefficients):
+        off = s.valuation - base
+        for i, c in enumerate(s.coefficients):
+            acc[off + i] = (acc[off + i] + a % prime * c) % prime
+    return next((base + i for i, x in enumerate(acc) if x), None)
+
+
+@pytest.mark.parametrize("prime", PRIMES)
+def test_valuation_probe_matches_list_sums(prime):
+    rng = random.Random(prime + 3)
+    for precision in (3, 10, 44):
+        for count in (1, 2, 6, precision, 2 * precision + 3):
+            for _ in range(5):
+                valuations = [rng.randrange(1, precision) for _ in range(count)]
+                fs = [_sparse_series(rng, v, precision, prime) for v in valuations]
+                coeffs = [rng.randrange(1, prime) for _ in fs]
+                assert combination_valuation_probe(fs, coeffs) == probe_by_lists(fs, coeffs)
+        # m copies of the all-(p - 1) series times p - 1 are m mod p in every
+        # slot, cancelled by one more copy times m; with m above precision + 1
+        # the sum leaves the reduction's range unless it is reduced on the way
+        m = 3 * precision + 1
+        f = TruncatedSeries(1, (prime - 1,) * (precision - 1), precision, prime)
+        fs = [f] * (m + 1)
+        coeffs = [prime - 1] * m + [m]
+        assert combination_valuation_probe(fs, coeffs) is None
+        assert probe_by_lists(fs, coeffs) is None
+
+
+def scanned_conductor(achieved, run_length):
+    """Reference run finder: the linear scan over the sorted achieved values."""
+    run = 0
+    prev = None
+    for x in achieved:
+        run = run + 1 if prev is not None and x == prev + 1 else 1
+        if run == run_length:
+            return x - run_length + 1
+        prev = x
+    return None
+
+
+def test_detect_conductor_matches_linear_scan():
+    rng = random.Random(5)
+    for _ in range(2000):
+        limit = rng.randint(1, 80)
+        density = rng.random()
+        achieved = [x for x in range(limit) if rng.random() < density]
+        run_length = rng.randint(1, 9)
+        assert series.detect_conductor(achieved, run_length) == scanned_conductor(achieved, run_length)
+    assert series.detect_conductor((0, 4, 6, 8, 9, 10, 11), 4) == 8
+    assert series.detect_conductor((0, 4, 6, 7, 8, 10, 11, 12), 4) is None
+    assert series.detect_conductor((), 2) is None
+
+
+@pytest.mark.parametrize(
+    "achieved, message",
+    [
+        (lambda precision: (0, 4, 6, 8), "no run of 4 consecutive values"),
+        (lambda precision: (0, 4, 6, 8, 9, 10, 11, 12) + tuple(range(14, precision)), "not closed above"),
+        (lambda precision: (4, 6) + tuple(range(8, precision)), "must contain 0"),
+        (lambda precision: (0, 4, 6, 7) + tuple(range(9, precision)), "not additively closed"),
+        (lambda precision: (0,) + tuple(range(5, precision)), "every profile order"),
+    ],
+    ids=["no-run", "hole-above", "no-zero", "not-closed", "missing-order"],
+)
+def test_achieved_set_failures_are_typed(monkeypatch, achieved, message):
+    def stub(profile, precision, prime=DEFAULT_PRIME, seed=0):
+        return achieved(precision)
+
+    monkeypatch.setattr(series, "value_semigroup", stub)
+    with pytest.raises(series.AchievedSetError, match=message) as raised:
+        empirical_generic_semigroup((4, 6))
+    assert isinstance(raised.value, RuntimeError)
+    assert isinstance(raised.value, ArithmeticError)
