@@ -1,6 +1,10 @@
+import dataclasses
+import importlib.util
 import inspect
+from pathlib import Path
 
-from cuspsemi import verify
+from cuspsemi import arith, cli, supersym, verify
+from cuspsemi.semigroup import NumericalSemigroup
 from cuspsemi.verify import CheckResult, CheckRow
 
 
@@ -94,3 +98,112 @@ def test_generic_montecarlo_checker_small():
     labels = [r.label for r in res.rows]
     assert "three seeds agree" in labels
     assert "lower <= genus <= upper" in labels
+
+
+# Failure paths: each test injects one fault and pins the exact row it yields.
+
+
+def test_sweep_row_shows_first_five_failures(monkeypatch):
+    frobenius = supersym.frobenius_formula
+    monkeypatch.setattr(supersym, "frobenius_formula", lambda a, b, c: frobenius(a, b, c) + 2)
+    res = verify.check_supersym_invariants(max_abc=400)
+    assert res.rows[0] == CheckRow(
+        "frobenius formula = sieve",
+        False,
+        "failed at (2,3,5), (2,3,7), (2,3,11), (2,3,13), (2,3,17)",
+    )
+    assert res.rows[2] == CheckRow("symmetry", True, "101 instances")
+    assert not res.passed
+
+
+def test_rho_row_carries_the_mismatch_text(monkeypatch):
+    rho_simplex = supersym.rho_simplex
+    monkeypatch.setattr(
+        supersym,
+        "rho_simplex",
+        lambda a, b, c: None if (a, b, c) == (2, 5, 7) else rho_simplex(a, b, c),
+    )
+    res = verify.check_rho_simplex(max_abc=100)
+    assert res.rows[0] == CheckRow(
+        "sieve count = lattice count",
+        False,
+        "failed at rho(2,5,7): sieve count 2 != lattice count 0",
+    )
+    assert all(row.ok for row in res.rows[1:])
+
+
+def test_membership_mismatch_ends_the_scan_of_its_triple(monkeypatch):
+    member = supersym.abc_member
+    monkeypatch.setattr(
+        supersym,
+        "abc_member",
+        lambda a, b, c, n: member(a, b, c, n) != ((a, b, c, n) == (2, 3, 7, 6)),
+    )
+    res = verify.check_unique_factorization(max_abc=120, samples=3)
+    assert res.rows == [
+        CheckRow("normal-form membership = sieve", False, "failed at (2,3,7) n=6"),
+        CheckRow("unique factorization below abc", True, "13 instances"),
+        CheckRow("shifted enumeration = brute force", True, "3 instances"),
+    ]
+
+
+def test_montecarlo_row_tags_each_failing_branch(monkeypatch):
+    approximating = arith.approximating_semigroup
+    monkeypatch.setattr(
+        arith,
+        "approximating_semigroup",
+        lambda m, ell, branch="general": (
+            NumericalSemigroup((1,)) if m == 2 else approximating(m, ell, branch)
+        ),
+    )
+    res = verify.check_generic_montecarlo(l_lo=4, l_hi=5)
+    assert res.rows[1] == CheckRow(
+        "approximating semigroup contained",
+        False,
+        "failed at ell=4 [general], ell=5 [general], ell=5 [m2]",
+    )
+    assert [row.ok for row in res.rows] == [True, False, True, True, True, True]
+
+
+def test_apery_row_tags_profile_residue_and_family(monkeypatch):
+    predictions = arith.apery_predictions
+
+    def shifted(m, ell):
+        formulas = predictions(m, ell)
+        if (m, ell) != (2, 6):
+            return formulas
+        entries = list(formulas.predictions)
+        entries[2] = dataclasses.replace(entries[2], value=entries[2].value + m * ell)
+        return dataclasses.replace(formulas, predictions=tuple(entries))
+
+    monkeypatch.setattr(arith, "apery_predictions", shifted)
+    res = verify.check_apery_even(m_lo=2, m_hi=2, l_max=8)
+    assert res.rows == [
+        CheckRow(
+            "formula entries = table entries", False, "failed at (m=2,l=6) residue 4 [nonspecial]"
+        ),
+        CheckRow(
+            "coverage", None, "3 residue classes uncovered by the stated families across 3 profiles"
+        ),
+    ]
+
+
+def _load_workloads():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_registry_output_matches_benchmark_reference(capsys):
+    # Acceptance 9 for the registry: every id at its defaults prints the bytes
+    # the benchmark's reference digests were recorded from.
+    workloads = _load_workloads()
+    reference = workloads.load_reference()["verify-all"]
+    argvs = workloads.argv_list("verify-all", 0)
+    assert len(argvs) == len(reference)
+    for argv, expected in zip(argvs, reference):
+        assert cli.main(argv) == 0, argv
+        out = capsys.readouterr().out
+        assert workloads.digest(workloads.normalise(argv, 0, out)) == expected, argv
