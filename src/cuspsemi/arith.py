@@ -132,9 +132,6 @@ class AperyFormulaResult:
     uncovered: tuple[int, ...]
     findings: tuple[str, ...]
 
-    def as_dict(self) -> dict[int, AperyPrediction]:
-        return {p.residue: p for p in self.predictions}
-
 
 def apery_predictions(m: int, ell: int) -> AperyFormulaResult:
     """Predicted Apery entries of the approximating semigroup, by formula family.

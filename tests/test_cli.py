@@ -110,6 +110,39 @@ def test_verify_that_checks_nothing_fails(capsys, argv):
     assert "result: FAIL" in out
 
 
+@pytest.mark.parametrize(
+    "argv, rows",
+    [
+        (
+            ("valuation-lemma", "--instances", "-1"),
+            ["FAIL valuation <= min + N - 1 over -1 draws  [no instances in range]"],
+        ),
+        (
+            ("unique-factorization", "--samples", "-3"),
+            [
+                "PASS normal-form membership = sieve  [192 instances]",
+                "FAIL shifted enumeration = brute force  [no instances in range]",
+            ],
+        ),
+        (
+            ("unique-factorization", "--max-abc", "20"),
+            [
+                "FAIL normal-form membership = sieve  [no instances in range]",
+                "FAIL unique factorization below abc  [no instances in range]",
+                "FAIL shifted enumeration = brute force  [no instances in range]",
+            ],
+        ),
+    ],
+)
+def test_verify_rows_count_the_instances_that_ran(capsys, argv, rows):
+    code, out, err = run_cli(capsys, "verify", *argv)
+    assert code == 1
+    assert err == ""
+    for row in rows:
+        assert f"  {row}\n" in out
+    assert out.endswith("result: FAIL\n")
+
+
 def test_verify_pass_exit_zero(capsys):
     code, out, _ = run_cli(capsys, "verify", "m2-gaps")
     assert code == 0
