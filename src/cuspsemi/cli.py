@@ -17,9 +17,9 @@ import sys
 
 import cuspsemi
 from cuspsemi import arith, series, severi, supersym, verify
-from cuspsemi.semigroup import GcdNotOneError, NumericalSemigroup
+from cuspsemi.semigroup import NumericalSemigroup
 from cuspsemi.series import PrecisionTooSmallError, SeedDisagreementError
-from cuspsemi.supersym import MethodMismatchError, NotApplicableError
+from cuspsemi.supersym import MethodMismatchError
 
 
 def _parse_ints(text: str) -> tuple[int, ...]:
@@ -175,8 +175,8 @@ def _supersym_row(triple: tuple[int, int, int]) -> dict:
         "codim": report.codim,
         "nodal_codim": report.nodal_codim,
         "excess": report.excess,
-        "rhobound1_holds": report.holds("rhobound1"),
-        "F_poly_sign": "nonnegative" if report.holds("f-polynomial") else "negative",
+        "rhobound1_holds": report.checks["rhobound1"],
+        "F_poly_sign": "nonnegative" if report.checks["f-polynomial"] else "negative",
         "sprime_applicable": applicable,
         "sprime_genus": supersym.genus_s_prime(a, b, c) if applicable else None,
         "sprime_frobenius": supersym.frobenius_s_prime(a, b, c) if applicable else None,
@@ -334,9 +334,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (GcdNotOneError, NotApplicableError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
     except SeedDisagreementError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 4

@@ -5,8 +5,8 @@ profile sits inside the Severi variety of genus-g curves; comparing its
 codimension with the expected one, (n-2)g for curves in P^3, yields an excess
 predicate.  All comparisons are exact and made on integers: the
 supersymmetric bounds are compared after scaling by their denominators (12
-for the bound polynomial, 4 for the rho cap), and a Fraction is built only
-to report a rational value.
+for the bound polynomial, 4 for the rho cap).  Only :func:`bound_polynomial`
+builds a Fraction, to report the polynomial's rational value.
 """
 
 from __future__ import annotations
@@ -16,38 +16,29 @@ from fractions import Fraction
 from typing import Sequence
 
 from cuspsemi.supersym import (
-    SupersymTriple,
     genus_formula,
+    pairwise_products,
     rho,
     supersym_semigroup,
 )
 
 
 @dataclass(frozen=True)
-class TraceEntry:
-    """One named exact comparison; ``holds`` is None for informational entries."""
-
-    name: str
-    detail: str
-    holds: bool | None
-
-
-@dataclass(frozen=True)
 class CodimReport:
-    """Excess-dimension verdict for one profile, with its full predicate trace."""
+    """Excess-dimension verdict for one profile.
+
+    ``excess`` is codim < nodal_codim.  ``checks`` maps the name of each
+    sufficient inequality the verdict was tested against to whether it holds:
+    ``rhobound1`` and ``f-polynomial`` for the supersymmetric cusp,
+    ``rhobound2`` for the generic one.
+    """
 
     profile: tuple[int, ...]
     genus: int
     codim: int
     nodal_codim: int
     excess: bool
-    predicate_trace: tuple[TraceEntry, ...]
-
-    def holds(self, name: str) -> bool | None:
-        for entry in self.predicate_trace:
-            if entry.name == name:
-                return entry.holds
-        raise KeyError(name)
+    checks: dict[str, bool]
 
 
 def _validate_orders(orders: Sequence[int]) -> tuple[int, ...]:
@@ -83,13 +74,12 @@ def reducibility_threshold(orders: Sequence[int]) -> int:
 
 def supersym_codim(a: int, b: int, c: int) -> int:
     """Codimension 2*rho + ab + ac + bc - 7 of the supersymmetric cuspidal stratum."""
-    t = SupersymTriple(a, b, c)
-    return 2 * rho(a, b, c) + sum(t.pairwise_products) - 7
+    return 2 * rho(a, b, c) + sum(pairwise_products(a, b, c)) - 7
 
 
-def _bound_polynomial_12(t: SupersymTriple) -> int:
-    """12 times the bound polynomial: 4abc - 7(ab+ac+bc) - 2(a+b+c) + 47."""
-    return 4 * t.product - 7 * sum(t.pairwise_products) - 2 * (t.a + t.b + t.c) + 47
+def _bound_polynomial_12(a: int, b: int, c: int) -> int:
+    """12 times the bound polynomial, 4abc - 7(ab+ac+bc) - 2(a+b+c) + 47, of a checked triple."""
+    return 4 * a * b * c - 7 * (a * b + a * c + b * c) - 2 * (a + b + c) + 47
 
 
 def bound_polynomial(a: int, b: int, c: int) -> Fraction:
@@ -98,37 +88,27 @@ def bound_polynomial(a: int, b: int, c: int) -> Fraction:
     Nonnegative exactly when the sufficient inequality behind the supersymmetric
     excess predicate holds on polynomial grounds alone.
     """
-    return Fraction(_bound_polynomial_12(SupersymTriple(a, b, c)), 12)
+    pairwise_products(a, b, c)  # raises ValueError for a bad triple
+    return Fraction(_bound_polynomial_12(a, b, c), 12)
 
 
 def excess_supersym(a: int, b: int, c: int) -> CodimReport:
     """Excess verdict for the semigroup <ab, ac, bc> itself as the cusp semigroup."""
-    t = SupersymTriple(a, b, c)
+    profile = pairwise_products(a, b, c)
     g = genus_formula(a, b, c)
     r = rho(a, b, c)
-    codim = 2 * r + sum(t.pairwise_products) - 7
+    codim = 2 * r + sum(profile) - 7
     nodal = g  # (n - 2) * g for curves in P^3
     # rhobound1: rho < abc/2 - 3(ab+ac+bc)/4 + 15/4, compared times 4
-    rho_cap_4 = 2 * t.product - 3 * sum(t.pairwise_products) + 15
-    fpoly_12 = _bound_polynomial_12(t)
-    fpoly_nonneg = fpoly_12 >= 0
-    trace = (
-        TraceEntry("codim-vs-nodal", f"{codim} < {nodal}", codim < nodal),
-        TraceEntry("rhobound1", f"rho {r} < {Fraction(rho_cap_4, 4)}", 4 * r < rho_cap_4),
-        TraceEntry(
-            "f-polynomial",
-            f"{Fraction(fpoly_12, 12)} {'>= 0' if fpoly_nonneg else '< 0'}",
-            fpoly_nonneg,
-        ),
-        TraceEntry("degree-threshold", f"applies for degree d >= {2 * g}", None),
-    )
+    rhobound1 = 4 * r < 2 * a * b * c - 3 * sum(profile) + 15
+    fpoly_nonneg = _bound_polynomial_12(a, b, c) >= 0
     return CodimReport(
-        profile=t.pairwise_products,
+        profile=profile,
         genus=g,
         codim=codim,
         nodal_codim=nodal,
         excess=codim < nodal,
-        predicate_trace=trace,
+        checks={"rhobound1": rhobound1, "f-polynomial": fpoly_nonneg},
     )
 
 
@@ -138,27 +118,20 @@ def excess_generic_supersym(a: int, b: int, c: int, empirical_genus: int | None 
     The generic stratum has codimension ab + ac + bc - 7; the genus defaults to
     the exact lower bound :func:`surrogate_generic_genus` when no Monte-Carlo
     value is supplied (a smaller genus only strengthens a negative verdict, so
-    the sufficient inequality rhobound2 is traced alongside).
+    the sufficient inequality rhobound2 is checked alongside).
     """
-    t = SupersymTriple(a, b, c)
-    members_below = supersym_semigroup(a, b, c).member_count_below(t.product)
-    g = t.product - members_below if empirical_genus is None else empirical_genus
-    codim = sum(t.pairwise_products) - 7
-    cap = t.product - sum(t.pairwise_products) + 7
-    trace = (
-        TraceEntry("codim-vs-genus", f"{codim} < {g}", codim < g),
-        TraceEntry(
-            "rhobound2",
-            f"members below abc: {members_below} < {cap}",
-            members_below < cap,
-        ),
-        TraceEntry("degree-threshold", f"applies for degree d >= {2 * g}", None),
-    )
+    profile = pairwise_products(a, b, c)
+    abc = a * b * c
+    members_below = supersym_semigroup(a, b, c).member_count_below(abc)
+    g = abc - members_below if empirical_genus is None else empirical_genus
+    codim = sum(profile) - 7
+    # rhobound2: members below abc < abc - (ab+ac+bc) + 7
+    rhobound2 = members_below < abc - sum(profile) + 7
     return CodimReport(
-        profile=t.pairwise_products,
+        profile=profile,
         genus=g,
         codim=codim,
         nodal_codim=g,
         excess=codim < g,
-        predicate_trace=trace,
+        checks={"rhobound2": rhobound2},
     )

@@ -5,9 +5,10 @@ forms for its Frobenius number and genus, a unique-factorization zone below
 abc, and a residue-triple description of its elements congruent to 1 mod abc.
 The count rho of gaps above abc is computed along two independent routes (a
 sieve member count and an exact lattice-point count of a rational simplex,
-taken by floor sums) that must agree.  Everything is exact: integers and
-Fractions only.  A guarded result that fails its own check raises
-:class:`MethodMismatchError`, which ``python -O`` keeps.
+taken by floor sums) that must agree.  Every public function takes the plain
+integers a, b, c and checks them with :func:`pairwise_products`.  Everything
+is exact: integers and Fractions only.  A guarded result that fails its own
+check raises :class:`MethodMismatchError`, which ``python -O`` keeps.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from cuspsemi.semigroup import NumericalSemigroup
 from cuspsemi.series import DEFAULT_PRIME, capture_conductors
@@ -31,28 +32,13 @@ class NotApplicableError(ValueError):
     """The requested construction needs abc + 1 to be a gap, and it is not."""
 
 
-@dataclass(frozen=True)
-class SupersymTriple:
-    """Pairwise coprime integers 2 <= a < b < c."""
-
-    a: int
-    b: int
-    c: int
-
-    def __post_init__(self) -> None:
-        a, b, c = self.a, self.b, self.c
-        if not 2 <= a < b < c:
-            raise ValueError("need 2 <= a < b < c")
-        if gcd(a, b) != 1 or gcd(a, c) != 1 or gcd(b, c) != 1:
-            raise ValueError("a, b, c must be pairwise coprime")
-
-    @property
-    def pairwise_products(self) -> tuple[int, int, int]:
-        return (self.a * self.b, self.a * self.c, self.b * self.c)
-
-    @property
-    def product(self) -> int:
-        return self.a * self.b * self.c
+def pairwise_products(a: int, b: int, c: int) -> tuple[int, int, int]:
+    """(ab, ac, bc) for pairwise coprime 2 <= a < b < c; ValueError otherwise."""
+    if not 2 <= a < b < c:
+        raise ValueError("need 2 <= a < b < c")
+    if gcd(a, b) != 1 or gcd(a, c) != 1 or gcd(b, c) != 1:
+        raise ValueError("a, b, c must be pairwise coprime")
+    return (a * b, a * c, b * c)
 
 
 def coprime_triples(max_abc: int, min_a: int = 2) -> Iterator[tuple[int, int, int]]:
@@ -76,14 +62,12 @@ def coprime_triples(max_abc: int, min_a: int = 2) -> Iterator[tuple[int, int, in
 
 def supersym_semigroup(a: int, b: int, c: int) -> NumericalSemigroup:
     """The semigroup <ab, ac, bc>, sieve-backed."""
-    t = SupersymTriple(a, b, c)
-    return NumericalSemigroup(t.pairwise_products)
+    return NumericalSemigroup(pairwise_products(a, b, c))
 
 
 def frobenius_formula(a: int, b: int, c: int) -> int:
     """Closed form 2abc - (ab + ac + bc) for the Frobenius number of <ab, ac, bc>."""
-    SupersymTriple(a, b, c)
-    return 2 * a * b * c - (a * b + a * c + b * c)
+    return 2 * a * b * c - sum(pairwise_products(a, b, c))
 
 
 def genus_formula(a: int, b: int, c: int) -> int:
@@ -163,8 +147,7 @@ def rho_simplex(a: int, b: int, c: int) -> SimplexSpec | None:
 
     Returns None when that threshold is not positive (the simplex is empty).
     """
-    t = SupersymTriple(a, b, c)
-    d = t.product - sum(t.pairwise_products)
+    d = a * b * c - sum(pairwise_products(a, b, c))
     if d <= 0:
         return None
     return SimplexSpec(Fraction(d, a * b), Fraction(d, a * c), Fraction(d, b * c))
@@ -177,8 +160,7 @@ def rho(a: int, b: int, c: int) -> int:
     which is counted both from the membership sieve and as a lattice-point
     count; disagreement raises :class:`MethodMismatchError`.
     """
-    t = SupersymTriple(a, b, c)
-    threshold = t.product - sum(t.pairwise_products)
+    threshold = a * b * c - sum(pairwise_products(a, b, c))
     by_sieve = supersym_semigroup(a, b, c).member_count_below(threshold)
     spec = rho_simplex(a, b, c)
     by_lattice = 0 if spec is None else lattice_count(spec)
@@ -221,10 +203,10 @@ def abc_normal_form(a: int, b: int, c: int, n: int) -> tuple[int, int, int]:
 
     n is a member of <ab, ac, bc> exactly when z >= 0.
     """
-    t = SupersymTriple(a, b, c)
-    x = n * pow(a * b, -1, c) % c
-    y = n * pow(a * c, -1, b) % b
-    z, r = divmod(n - x * a * b - y * a * c, b * c)
+    ab, ac, bc = pairwise_products(a, b, c)
+    x = n * pow(ab, -1, c) % c
+    y = n * pow(ac, -1, b) % b
+    z, r = divmod(n - x * ab - y * ac, bc)
     if r != 0:
         raise MethodMismatchError(
             f"abc_normal_form({a},{b},{c},{n}): Chinese-remainder reduction leaves {r}"
@@ -264,25 +246,21 @@ def abc_all_factorizations(a: int, b: int, c: int, n: int) -> tuple[tuple[int, i
     return tuple(sorted(out))
 
 
-@dataclass(frozen=True)
-class ResidueTriple:
+class ResidueTriple(NamedTuple):
     """Inverses alpha_hat = (bc)^-1 mod a, beta_hat = (ac)^-1 mod b, gamma_hat = (ab)^-1 mod c."""
 
     alpha_hat: int
     beta_hat: int
     gamma_hat: int
 
-    def __iter__(self) -> Iterator[int]:
-        return iter((self.alpha_hat, self.beta_hat, self.gamma_hat))
-
 
 def residue_triple(a: int, b: int, c: int) -> ResidueTriple:
     """The canonical inverse triple; each component lies in [1, modulus - 1]."""
-    SupersymTriple(a, b, c)
+    ab, ac, bc = pairwise_products(a, b, c)
     return ResidueTriple(
-        alpha_hat=pow(b * c, -1, a),
-        beta_hat=pow(a * c, -1, b),
-        gamma_hat=pow(a * b, -1, c),
+        alpha_hat=pow(bc, -1, a),
+        beta_hat=pow(ac, -1, b),
+        gamma_hat=pow(ab, -1, c),
     )
 
 
@@ -307,8 +285,7 @@ def s_prime(a: int, b: int, c: int) -> NumericalSemigroup:
     """The extension <ab, ac, bc, abc + 1>; only defined when abc + 1 is a gap."""
     if abc_plus_one_is_member(a, b, c):
         raise NotApplicableError(f"abc + 1 is already a member for ({a},{b},{c})")
-    t = SupersymTriple(a, b, c)
-    return NumericalSemigroup(t.pairwise_products + (t.product + 1,))
+    return NumericalSemigroup(pairwise_products(a, b, c) + (a * b * c + 1,))
 
 
 def genus_s_prime(a: int, b: int, c: int) -> int:
@@ -335,9 +312,8 @@ def frobenius_s_prime(a: int, b: int, c: int) -> int:
 
 def surrogate_generic_genus(a: int, b: int, c: int) -> int:
     """Gap count of <ab, ac, bc> below abc, a lower bound for the generic-cusp genus."""
-    t = SupersymTriple(a, b, c)
-    s = supersym_semigroup(a, b, c)
-    return t.product - s.member_count_below(t.product)
+    abc = a * b * c
+    return abc - supersym_semigroup(a, b, c).member_count_below(abc)
 
 
 def generic_contains_abc_plus(
@@ -347,6 +323,6 @@ def generic_contains_abc_plus(
 
     One seeded Monte-Carlo run of :func:`cuspsemi.series.capture_conductors`.
     """
-    t = SupersymTriple(a, b, c)
-    [s] = capture_conductors(t.pairwise_products, (seed,), prime)
-    return (s.contains(t.product + 1), s.contains(t.product + 2))
+    [s] = capture_conductors(pairwise_products(a, b, c), (seed,), prime)
+    abc = a * b * c
+    return (s.contains(abc + 1), s.contains(abc + 2))

@@ -150,19 +150,28 @@ def check_yz_bounds(max_abc: int = 4000) -> CheckResult:
         )
         return (supersym.yz_strong_bound(spec) == closed,)
 
+    # Each triple's simplex is built once; those with abc <= 1500 are kept, in
+    # lexicographic order, for the simplification sweep.
+    def in_hypothesis() -> Iterator[tuple]:
+        for a, b, c in triples:
+            spec = supersym.rho_simplex(a, b, c)
+            if spec is None:
+                continue
+            if a * b * c <= 1500:
+                small.append((a, b, c, spec))
+            if supersym.yz_hypothesis(spec):
+                yield a, b, c, spec
+
     result = CheckResult("yz-bounds")
-    specs = ((*t, supersym.rho_simplex(*t)) for t in supersym.coprime_triples(max_abc))
-    in_hypothesis = (x for x in specs if x[3] is not None and supersym.yz_hypothesis(x[3]))
+    triples = list(supersym.coprime_triples(max_abc))
+    small: list[tuple] = []
     labels = ("count <= weak bound", "count <= strong bound")
-    checked = _sweep(result, labels, in_hypothesis, bounds)
-    skipped = sum(1 for _ in supersym.coprime_triples(max_abc)) - checked
+    skipped = len(triples) - _sweep(result, labels, in_hypothesis(), bounds)
     if skipped:
         result.findings.append(
             f"{skipped} triples skipped: simplex empty or intercepts below the hypothesis"
         )
-    small = ((*t, supersym.rho_simplex(*t)) for t in supersym.coprime_triples(min(max_abc, 1500)))
-    simplices = (x for x in small if x[3] is not None)
-    _sweep(result, ("strong bound simplification",), simplices, simplification)
+    _sweep(result, ("strong bound simplification",), small, simplification)
     return result
 
 
@@ -178,7 +187,7 @@ def check_excess_supersym(max_abc: int = 4000) -> CheckResult:
     report = severi.excess_supersym(4, 5, 7)
     result.row(
         "(4,5,7) excess via rho",
-        report.excess and report.holds("rhobound1") is True,
+        report.excess and report.checks["rhobound1"],
         f"codim {report.codim} < genus {report.genus}, rho bound holds",
     )
     for triple, expect_nonneg in (((4, 5, 7), False), ((4, 7, 9), True), ((5, 6, 7), True)):
@@ -197,7 +206,7 @@ def check_excess_generic(max_abc: int = 4000) -> CheckResult:
     """The generic-cusp stratum shows excess for coprime 4 <= a < b < c."""
     def probe(t: tuple[int, int, int]) -> tuple[bool, bool]:
         report = severi.excess_generic_supersym(*t)
-        return report.excess, report.holds("rhobound2") is True
+        return report.excess, report.checks["rhobound2"]
 
     result = CheckResult("excess-generic")
     labels = ("codim < surrogate genus", "member count below abc within bound")
@@ -214,11 +223,10 @@ def check_sprime(max_abc: int = 5000) -> CheckResult:
 
     result = CheckResult("sprime")
     labels = ("extension genus formula = sieve", "extension frobenius formula = sieve")
-    triples = supersym.coprime_triples(max_abc)
+    triples = list(supersym.coprime_triples(max_abc))
     applicable = (t for t in triples if not supersym.abc_plus_one_is_member(*t))
     gaps = _sweep(result, labels, applicable, probe)
-    total = sum(1 for _ in supersym.coprime_triples(max_abc))
-    result.findings.append(f"{gaps} of {total} triples have abc + 1 as a gap")
+    result.findings.append(f"{gaps} of {len(triples)} triples have abc + 1 as a gap")
     for triple, expected in (((3, 4, 5), (35, 58)), ((4, 5, 7), (96, 177))):
         got = (supersym.genus_s_prime(*triple), supersym.frobenius_s_prime(*triple))
         result.row(f"extension invariants at {triple}", got == expected, f"got {got}")
@@ -249,7 +257,7 @@ def check_unique_factorization(max_abc: int = 600, samples: int = 40, seed: int 
     """Members below abc factor uniquely; the shifted enumeration matches brute force."""
     def scan(t: tuple[int, int, int]) -> tuple[bool | list[str], bool | list[str]]:
         a, b, c = t
-        s = supersym.supersym_semigroup(a, b, c)
+        s = semigroups[t] = supersym.supersym_semigroup(a, b, c)
         for n in range(a * b * c):
             member = supersym.abc_member(a, b, c, n)
             if member != s.contains(n):  # ends the scan before uniqueness is tested at n
@@ -258,16 +266,16 @@ def check_unique_factorization(max_abc: int = 600, samples: int = 40, seed: int 
                 return True, [f"({a},{b},{c}) n={n}"]
         return True, True
 
-    # Each sample draws a triple, then n; the probe draws n after building the semigroup.
+    # Each sample draws a triple, then n; the scan built every triple's semigroup.
     def cross(t: tuple[int, int, int]) -> tuple[bool | list[str]]:
         a, b, c = t
-        s = supersym.supersym_semigroup(a, b, c)
         n = rng.randrange(3 * a * b * c)
-        direct = {tuple(f) for f in s.factorizations(n)}
+        direct = {tuple(f) for f in semigroups[t].factorizations(n)}
         shifted = set(supersym.abc_all_factorizations(a, b, c, n))
         return (direct == shifted or [f"({a},{b},{c}) n={n}"],)
 
     result = CheckResult("unique-factorization")
+    semigroups: dict[tuple[int, int, int], NumericalSemigroup] = {}
     triples = list(supersym.coprime_triples(max_abc))
     labels = ("normal-form membership = sieve", "unique factorization below abc")
     _sweep(result, labels, triples, scan)

@@ -31,18 +31,16 @@ def test_bound_polynomial_signs():
     assert severi.bound_polynomial(4, 5, 7) == Fraction(-1, 2)
     assert severi.bound_polynomial(4, 7, 9) == Fraction(21, 2)
     assert severi.bound_polynomial(5, 6, 7) == Fraction(17, 2)
+    with pytest.raises(ValueError, match="pairwise coprime"):
+        severi.bound_polynomial(2, 4, 5)
 
 
 def fraction_bound_checks(a, b, c, r):
-    """Oracle: the f-polynomial and rhobound1 entries as exact Fraction arithmetic."""
+    """Oracle: the bound polynomial, and the rhobound1 and f-polynomial checks, in Fractions."""
     pairs = a * b + a * c + b * c
     fpoly = Fraction(a * b * c, 3) - Fraction(7 * pairs, 12) - Fraction(a + b + c, 6) + Fraction(47, 12)
     rho_cap = Fraction(a * b * c, 2) - Fraction(3 * pairs, 4) + Fraction(15, 4)
-    return (
-        fpoly,
-        ("rhobound1", f"rho {r} < {rho_cap}", Fraction(r) < rho_cap),
-        ("f-polynomial", f"{fpoly} {'>= 0' if fpoly >= 0 else '< 0'}", fpoly >= 0),
-    )
+    return fpoly, {"rhobound1": Fraction(r) < rho_cap, "f-polynomial": fpoly >= 0}
 
 
 def test_integer_bound_checks_match_fractions():
@@ -50,12 +48,10 @@ def test_integer_bound_checks_match_fractions():
     for a, b, c in supersym.coprime_triples(5000):
         rep = severi.excess_supersym(a, b, c)
         r = (rep.codim - (a * b + a * c + b * c) + 7) // 2
-        fpoly, rhobound1, fsign = fraction_bound_checks(a, b, c, r)
+        fpoly, checks = fraction_bound_checks(a, b, c, r)
         assert severi.bound_polynomial(a, b, c) == fpoly
-        entries = {t.name: (t.name, t.detail, t.holds) for t in rep.predicate_trace}
-        assert entries["rhobound1"] == rhobound1, (a, b, c)
-        assert entries["f-polynomial"] == fsign, (a, b, c)
-        signs.add((rhobound1[2], fsign[2]))
+        assert rep.checks == checks, (a, b, c)
+        signs.add((checks["rhobound1"], checks["f-polynomial"]))
     assert signs == {(True, True), (True, False), (False, False)}
 
 
@@ -65,7 +61,7 @@ def test_excess_supersym_reports():
     assert rep.codim == 114
     assert rep.nodal_codim == 130
     assert rep.excess
-    assert rep.holds("rhobound1") is True
+    assert rep.checks["rhobound1"] is True
 
     rep2 = severi.excess_supersym(4, 7, 9)
     assert (rep2.codim, rep2.genus, rep2.excess) == (152, 189, True)
@@ -87,9 +83,9 @@ def test_excess_boundary_case():
 def test_excess_trace_lookup():
     rep = severi.excess_supersym(4, 5, 9)
     with pytest.raises(KeyError):
-        rep.holds("no-such-predicate")
-    names = [t.name for t in rep.predicate_trace]
-    assert "rhobound1" in names
+        rep.checks["no-such-predicate"]
+    assert set(rep.checks) == {"rhobound1", "f-polynomial"}
+    assert set(severi.excess_generic_supersym(4, 5, 9).checks) == {"rhobound2"}
 
 
 def test_excess_generic_supersym():
@@ -97,7 +93,10 @@ def test_excess_generic_supersym():
     assert rep.codim == 4 * 5 + 4 * 9 + 5 * 9 - 7
     assert rep.genus == supersym.surrogate_generic_genus(4, 5, 9)
     assert rep.excess == (rep.codim < rep.genus)
-    assert rep.holds("rhobound2") is True
+    assert rep.checks["rhobound2"] is True
+    # the bound is strict: 192 members below abc against a cap of 192, then 205 against 206
+    assert severi.excess_generic_supersym(2, 9, 29).checks == {"rhobound2": False}
+    assert severi.excess_generic_supersym(2, 9, 31).checks == {"rhobound2": True}
 
 
 def test_excess_generic_accepts_measured_genus():

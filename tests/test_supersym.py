@@ -10,20 +10,18 @@ from cuspsemi.supersym import (
     MethodMismatchError,
     NotApplicableError,
     SimplexSpec,
-    SupersymTriple,
+    pairwise_products,
 )
 
 
 def test_triple_validation():
-    t = SupersymTriple(3, 4, 5)
-    assert t.pairwise_products == (12, 15, 20)
-    assert t.product == 60
-    with pytest.raises(ValueError):
-        SupersymTriple(1, 2, 3)
-    with pytest.raises(ValueError):
-        SupersymTriple(3, 3, 5)
-    with pytest.raises(ValueError):
-        SupersymTriple(2, 4, 5)  # not pairwise coprime
+    assert pairwise_products(3, 4, 5) == (12, 15, 20)
+    with pytest.raises(ValueError, match="need 2 <= a < b < c"):
+        pairwise_products(1, 2, 3)
+    with pytest.raises(ValueError, match="need 2 <= a < b < c"):
+        pairwise_products(3, 3, 5)
+    with pytest.raises(ValueError, match="pairwise coprime"):
+        pairwise_products(2, 4, 5)
 
 
 def test_coprime_triples_enumeration():
@@ -319,8 +317,7 @@ def test_monte_carlo_drivers_reject_sets_not_closed_under_addition(
 def test_start_precision_covers_twice_abc():
     # the horizon the abc + 1, abc + 2 question needs is never above the start
     for a, b, c in supersym.coprime_triples(5000):
-        t = supersym.SupersymTriple(a, b, c)
-        assert series.start_precision(t.pairwise_products) >= 2 * t.product + 2
+        assert series.start_precision(pairwise_products(a, b, c)) >= 2 * a * b * c + 2
 
 
 @pytest.mark.skipif(

@@ -3,6 +3,8 @@ import importlib.util
 import inspect
 from pathlib import Path
 
+import pytest
+
 from cuspsemi import arith, cli, supersym, verify
 from cuspsemi.semigroup import NumericalSemigroup
 from cuspsemi.verify import CheckResult, CheckRow
@@ -196,14 +198,52 @@ def _load_workloads():
     return module
 
 
-def test_registry_output_matches_benchmark_reference(capsys):
-    # Acceptance 9 for the registry: every id at its defaults prints the bytes
+@pytest.mark.parametrize("workload", _load_workloads().NAMES)
+def test_registry_output_matches_benchmark_reference(capsys, workload):
+    # Acceptance 9 for every benchmark workload: each call prints the bytes
     # the benchmark's reference digests were recorded from.
     workloads = _load_workloads()
-    reference = workloads.load_reference()["verify-all"]
-    argvs = workloads.argv_list("verify-all", 0)
+    reference = workloads.load_reference()[workload]
+    argvs = workloads.argv_list(workload, 0)
     assert len(argvs) == len(reference)
     for argv, expected in zip(argvs, reference):
         assert cli.main(argv) == 0, argv
         out = capsys.readouterr().out
         assert workloads.digest(workloads.normalise(argv, 0, out)) == expected, argv
+
+
+# Work per instance: each checker builds a triple's objects once.
+
+
+def _count_calls(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "kwargs, triples", [({}, 2913), ({"max_abc": 1500}, 745)], ids=["defaults", "max_abc=1500"]
+)
+def test_yz_bounds_builds_each_simplex_once(monkeypatch, kwargs, triples):
+    calls = _count_calls(monkeypatch, supersym, "rho_simplex")
+    assert verify.check_yz_bounds(**kwargs).passed
+    assert len(calls) == len(set(calls)) == triples
+
+
+def test_unique_factorization_builds_each_semigroup_once(monkeypatch):
+    calls = _count_calls(monkeypatch, supersym, "supersym_semigroup")
+    assert verify.check_unique_factorization().passed
+    assert len(calls) == len(set(calls)) == 192
+
+
+def test_sprime_enumerates_the_triples_once(monkeypatch):
+    calls = _count_calls(monkeypatch, supersym, "coprime_triples")
+    res = verify.check_sprime(max_abc=1200)
+    assert len(calls) == 1
+    assert res.findings == ["268 of 538 triples have abc + 1 as a gap"]
