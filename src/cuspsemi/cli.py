@@ -1,8 +1,9 @@
 """Command-line interface: info, generic, verify, sweep.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error, 3 numeric error,
-4 seed disagreement.  All output is deterministic for fixed arguments; sweep
-files carry a provenance comment line with the toolkit version and seed.
+Exit codes: 0 success, 1 verification failure, 2 usage error (an unwritable
+``--out`` too), 3 numeric error, 4 seed disagreement.  All output is
+deterministic for fixed arguments; sweep files carry a provenance comment line
+with the toolkit version and seed.
 """
 
 from __future__ import annotations
@@ -45,7 +46,12 @@ def _prime(args: argparse.Namespace) -> int:
     if args.prime is not None:
         return args.prime
     env = os.environ.get("CUSPSEMI_PRIME")
-    return int(env) if env else series.DEFAULT_PRIME
+    if not env:
+        return series.DEFAULT_PRIME
+    try:
+        return int(env)
+    except ValueError:
+        raise ValueError(f"CUSPSEMI_PRIME must be an integer, got {env!r}") from None
 
 
 def _emit_text(text: str, out: str | None) -> None:
@@ -111,14 +117,15 @@ def _verify_kwargs(func: object, args: argparse.Namespace) -> dict:
         "trials": args.trials,
         "base_seed": args.seed,
         "seed": args.seed,
-        "prime": _prime(args),
         "instances": args.instances,
         "samples": args.samples,
         "eps": args.eps,
     }
     kwargs = {}
     for name in inspect.signature(func).parameters:  # type: ignore[arg-type]
-        if available.get(name) is not None:
+        if name == "prime":
+            kwargs[name] = _prime(args)
+        elif available.get(name) is not None:
             kwargs[name] = available[name]
     return kwargs
 
@@ -165,6 +172,7 @@ def _supersym_row(triple: tuple[int, int, int]) -> dict:
     a, b, c = triple
     report = severi.excess_supersym(a, b, c)
     applicable = not supersym.abc_plus_one_is_member(a, b, c)
+    sprime = supersym.s_prime_invariants(a, b, c) if applicable else (None, None)
     return {
         "a": a,
         "b": b,
@@ -178,8 +186,8 @@ def _supersym_row(triple: tuple[int, int, int]) -> dict:
         "rhobound1_holds": report.checks["rhobound1"],
         "F_poly_sign": "nonnegative" if report.checks["f-polynomial"] else "negative",
         "sprime_applicable": applicable,
-        "sprime_genus": supersym.genus_s_prime(a, b, c) if applicable else None,
-        "sprime_frobenius": supersym.frobenius_s_prime(a, b, c) if applicable else None,
+        "sprime_genus": sprime[0],
+        "sprime_frobenius": sprime[1],
     }
 
 
@@ -231,7 +239,6 @@ def _csv_cell(value: object) -> str:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    prime = _prime(args)
     if args.family == "supersym":
         tasks = list(supersym.coprime_triples(args.max_abc, min_a=args.min_a))
         worker = _supersym_row
@@ -248,6 +255,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         columns = _ARITH_COLUMNS
     elif args.family == "generic":
         l_lo, l_hi = args.l if args.l else (4, 8)
+        prime = _prime(args)
         tasks = [(ell, args.trials, prime, args.seed) for ell in range(l_lo, l_hi + 1)]
         worker = _generic_row
         columns = _GENERIC_COLUMNS
@@ -343,7 +351,7 @@ def main(argv: list[str] | None = None) -> int:
     except (PrecisionTooSmallError, OverflowError, ArithmeticError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 3
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

@@ -4,16 +4,16 @@ For pairwise coprime 2 <= a < b < c the semigroup S = <ab, ac, bc> has closed
 forms for its Frobenius number and genus, a unique-factorization zone below
 abc, and a residue-triple description of its elements congruent to 1 mod abc.
 The count rho of gaps above abc is computed along two independent routes (a
-sieve member count and an exact lattice-point count of a rational simplex,
-taken by floor sums) that must agree.  Every public function takes the plain
-integers a, b, c and checks them with :func:`pairwise_products`.  Everything
-is exact: integers and Fractions only.  A guarded result that fails its own
-check raises :class:`MethodMismatchError`, which ``python -O`` keeps.
+sieve member count and a floor-sum count of the lattice points with ab*x +
+ac*y + bc*z <= abc - (ab + ac + bc)) that must agree.  Every public function
+takes the plain integers a, b, c and checks them with :func:`pairwise_products`.
+Everything is exact; Fractions are only the values of the Yau-Zhang bounds.  A
+guarded result that fails its own check raises :class:`MethodMismatchError`,
+which ``python -O`` keeps.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from typing import Iterator, NamedTuple
@@ -78,24 +78,6 @@ def genus_formula(a: int, b: int, c: int) -> int:
     return (f + 1) // 2
 
 
-@dataclass(frozen=True)
-class SimplexSpec:
-    """Right simplex x/alpha + y/beta + z/gamma <= 1 with positive rational intercepts."""
-
-    alpha: Fraction
-    beta: Fraction
-    gamma: Fraction
-
-    def __post_init__(self) -> None:
-        for name in ("alpha", "beta", "gamma"):
-            value = getattr(self, name)
-            if not isinstance(value, Fraction):
-                object.__setattr__(self, name, Fraction(value))
-        # a Fraction's denominator is positive, so its numerator carries the sign
-        if self.alpha.numerator <= 0 or self.beta.numerator <= 0 or self.gamma.numerator <= 0:
-            raise ValueError("intercepts must be positive")
-
-
 def _floor_sum(n: int, m: int, a: int, b: int) -> int:
     """Sum of (a*i + b) // m over 0 <= i < n, for n, a, b >= 0 and m >= 1.
 
@@ -118,39 +100,38 @@ def _floor_sum(n: int, m: int, a: int, b: int) -> int:
         m, a = a, m
 
 
-def lattice_count(spec: SimplexSpec) -> int:
-    """Exact number of nonnegative integer points in the simplex.
+def lattice_count(u: int, v: int, w: int, bound: int) -> int:
+    """Exact number of nonnegative integer points with u*x + v*y + w*z <= bound.
 
-    The condition is cross-multiplied once into u*x + v*y + w*z <= total on
-    plain integers, with the weights sorted so that u >= v >= w.  The loop
-    runs over x, whose weight is the largest (its intercept the smallest), so
-    it takes floor(min intercept) + 1 steps.  For each x, with rest = total -
-    u*x and top = rest // v, the points (y, z) are counted by one floor sum:
-    writing y = top - j, they number the sum over 0 <= j <= top of
-    (v*j + rest % v) // w + 1, which is ``_floor_sum`` plus top + 1.  The
+    The weights must be positive (ValueError otherwise).  With them sorted so
+    that u >= v >= w, the loop runs over x, whose weight is the largest, so it
+    takes bound // u + 1 steps, none for a negative bound.  For each x, with
+    rest = bound - u*x and top = rest // v, the points (y, z) are counted by
+    one floor sum: writing y = top - j, they number the sum over 0 <= j <= top
+    of (v*j + rest % v) // w + 1, which is ``_floor_sum`` plus top + 1.  The
     direct scan over x and y is kept as the test oracle.
     """
-    pa, qa = spec.alpha.numerator, spec.alpha.denominator
-    pb, qb = spec.beta.numerator, spec.beta.denominator
-    pc, qc = spec.gamma.numerator, spec.gamma.denominator
-    total = pa * pb * pc
-    u, v, w = sorted((qa * pb * pc, qb * pa * pc, qc * pa * pb), reverse=True)
+    if u <= 0 or v <= 0 or w <= 0:
+        raise ValueError("weights must be positive")
+    u, v, w = sorted((u, v, w), reverse=True)
     count = 0
-    for x in range(total // u + 1):
-        top, low = divmod(total - u * x, v)
+    for x in range(bound // u + 1):
+        top, low = divmod(bound - u * x, v)
         count += _floor_sum(top + 1, w, v, low) + top + 1
     return count
 
 
-def rho_simplex(a: int, b: int, c: int) -> SimplexSpec | None:
-    """Simplex whose lattice points index the members of <ab, ac, bc> below abc - (ab+ac+bc).
+def rho_simplex(a: int, b: int, c: int) -> tuple[int, int, int, int] | None:
+    """The simplex ab*x + ac*y + bc*z <= d, d = abc - (ab + ac + bc), as (ab, ac, bc, d).
 
-    Returns None when that threshold is not positive (the simplex is empty).
+    Its lattice points index the members of <ab, ac, bc> below d.  Returns
+    None when d is not positive (the simplex is empty).
     """
-    d = a * b * c - sum(pairwise_products(a, b, c))
+    ab, ac, bc = pairwise_products(a, b, c)
+    d = a * b * c - (ab + ac + bc)
     if d <= 0:
         return None
-    return SimplexSpec(Fraction(d, a * b), Fraction(d, a * c), Fraction(d, b * c))
+    return (ab, ac, bc, d)
 
 
 def rho(a: int, b: int, c: int) -> int:
@@ -162,8 +143,8 @@ def rho(a: int, b: int, c: int) -> int:
     """
     threshold = a * b * c - sum(pairwise_products(a, b, c))
     by_sieve = supersym_semigroup(a, b, c).member_count_below(threshold)
-    spec = rho_simplex(a, b, c)
-    by_lattice = 0 if spec is None else lattice_count(spec)
+    simplex = rho_simplex(a, b, c)
+    by_lattice = 0 if simplex is None else lattice_count(*simplex)
     if by_sieve != by_lattice:
         raise MethodMismatchError(
             f"rho({a},{b},{c}): sieve count {by_sieve} != lattice count {by_lattice}"
@@ -171,31 +152,23 @@ def rho(a: int, b: int, c: int) -> int:
     return by_sieve
 
 
-def eta(spec: SimplexSpec) -> Fraction:
-    """The correction term 1/alpha + 1/beta + 1/gamma."""
-    return 1 / spec.alpha + 1 / spec.beta + 1 / spec.gamma
+def yz_hypothesis(u: int, v: int, w: int, bound: int) -> bool:
+    """True when alpha >= beta >= gamma >= 1, the hypothesis of the Yau-Zhang bounds.
+
+    They are stated in the intercepts alpha = bound/u, beta = bound/v, gamma =
+    bound/w (bound > 0) and eta = 1/alpha + 1/beta + 1/gamma.
+    """
+    return u <= v <= w <= bound
 
 
-def yz_hypothesis(spec: SimplexSpec) -> bool:
-    """True when alpha >= beta >= gamma >= 1, the hypothesis of the Yau-Zhang bounds."""
-    return spec.alpha >= spec.beta >= spec.gamma >= 1
+def yz_weak_bound(u: int, v: int, w: int, bound: int) -> Fraction:
+    """Yau-Zhang bound alpha*beta*gamma * (1 + eta)**3 / 6 on the lattice count."""
+    return Fraction((bound + u + v + w) ** 3, 6 * u * v * w)
 
 
-def yz_weak_bound(spec: SimplexSpec) -> Fraction:
-    """Yau-Zhang bound (alpha*beta*gamma / 6) * (1 + eta)**3 for the lattice count."""
-    e = eta(spec)
-    return spec.alpha * spec.beta * spec.gamma * (1 + e) ** 3 / 6
-
-
-def yz_strong_bound(spec: SimplexSpec) -> Fraction:
-    """Sharper Yau-Zhang bound, the product of (intercept*(1+eta) - 1) over 6."""
-    e = eta(spec)
-    return (
-        (spec.alpha * (1 + e) - 1)
-        * (spec.beta * (1 + e) - 1)
-        * (spec.gamma * (1 + e) - 1)
-        / 6
-    )
+def yz_strong_bound(u: int, v: int, w: int, bound: int) -> Fraction:
+    """Sharper Yau-Zhang bound, the product of (intercept*(1 + eta) - 1) over 6."""
+    return Fraction((bound + v + w) * (bound + u + w) * (bound + u + v), 6 * u * v * w)
 
 
 def abc_normal_form(a: int, b: int, c: int, n: int) -> tuple[int, int, int]:
@@ -288,26 +261,19 @@ def s_prime(a: int, b: int, c: int) -> NumericalSemigroup:
     return NumericalSemigroup(pairwise_products(a, b, c) + (a * b * c + 1,))
 
 
-def genus_s_prime(a: int, b: int, c: int) -> int:
-    """Closed-form genus of the extension by abc + 1."""
-    if abc_plus_one_is_member(a, b, c):
-        raise NotApplicableError(f"abc + 1 is already a member for ({a},{b},{c})")
-    r = residue_triple(a, b, c)
-    return genus_formula(a, b, c) - (a - r.alpha_hat) * (b - r.beta_hat) * (c - r.gamma_hat)
-
-
-def frobenius_s_prime(a: int, b: int, c: int) -> int:
-    """Closed-form Frobenius number of the extension by abc + 1."""
+def s_prime_invariants(a: int, b: int, c: int) -> tuple[int, int]:
+    """Closed-form (genus, Frobenius number) of the extension by abc + 1."""
     if abc_plus_one_is_member(a, b, c):
         raise NotApplicableError(f"abc + 1 is already a member for ({a},{b},{c})")
     r = residue_triple(a, b, c)
     ab, ac, bc = a * b, a * c, b * c
-    candidates = (
+    genus = genus_formula(a, b, c) - (a - r.alpha_hat) * (b - r.beta_hat) * (c - r.gamma_hat)
+    frobenius = max(
         (r.gamma_hat - 1) * ab + (b - 1) * ac - bc,
         (c - 1) * ab + (r.beta_hat - 1) * ac - bc,
         (c - 1) * ab + (b - 1) * ac + (r.alpha_hat - a - 1) * bc,
     )
-    return max(candidates)
+    return genus, frobenius
 
 
 def surrogate_generic_genus(a: int, b: int, c: int) -> int:

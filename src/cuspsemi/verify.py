@@ -139,28 +139,28 @@ def check_rho_simplex(max_abc: int = 5000) -> CheckResult:
 def check_yz_bounds(max_abc: int = 4000) -> CheckResult:
     """Lattice counts respect both Yau-Zhang bounds on in-hypothesis simplices."""
     def bounds(x: tuple) -> tuple[bool, bool]:
-        q = Fraction(supersym.lattice_count(x[3]))
-        return q <= supersym.yz_weak_bound(x[3]), q <= supersym.yz_strong_bound(x[3])
+        q = supersym.lattice_count(*x[3])
+        return q <= supersym.yz_weak_bound(*x[3]), q <= supersym.yz_strong_bound(*x[3])
 
     # The strong bound collapses to a polynomial in a, b, c on these simplices.
     def simplification(x: tuple) -> tuple[bool]:
-        a, b, c, spec = x
+        a, b, c, simplex = x
         closed = Fraction(
             a * b * c - (a * b + a * c + b * c) + (a + b + c) - 1, 6
         )
-        return (supersym.yz_strong_bound(spec) == closed,)
+        return (supersym.yz_strong_bound(*simplex) == closed,)
 
     # Each triple's simplex is built once; those with abc <= 1500 are kept, in
     # lexicographic order, for the simplification sweep.
     def in_hypothesis() -> Iterator[tuple]:
         for a, b, c in triples:
-            spec = supersym.rho_simplex(a, b, c)
-            if spec is None:
+            simplex = supersym.rho_simplex(a, b, c)
+            if simplex is None:
                 continue
             if a * b * c <= 1500:
-                small.append((a, b, c, spec))
-            if supersym.yz_hypothesis(spec):
-                yield a, b, c, spec
+                small.append((a, b, c, simplex))
+            if supersym.yz_hypothesis(*simplex):
+                yield a, b, c, simplex
 
     result = CheckResult("yz-bounds")
     triples = list(supersym.coprime_triples(max_abc))
@@ -219,7 +219,8 @@ def check_sprime(max_abc: int = 5000) -> CheckResult:
     """Genus and Frobenius closed forms for the extension by abc + 1 match the sieve."""
     def probe(t: tuple[int, int, int]) -> tuple[bool, bool]:
         s = supersym.s_prime(*t)
-        return supersym.genus_s_prime(*t) == s.genus, supersym.frobenius_s_prime(*t) == s.frobenius
+        genus, frobenius = supersym.s_prime_invariants(*t)
+        return genus == s.genus, frobenius == s.frobenius
 
     result = CheckResult("sprime")
     labels = ("extension genus formula = sieve", "extension frobenius formula = sieve")
@@ -228,7 +229,7 @@ def check_sprime(max_abc: int = 5000) -> CheckResult:
     gaps = _sweep(result, labels, applicable, probe)
     result.findings.append(f"{gaps} of {len(triples)} triples have abc + 1 as a gap")
     for triple, expected in (((3, 4, 5), (35, 58)), ((4, 5, 7), (96, 177))):
-        got = (supersym.genus_s_prime(*triple), supersym.frobenius_s_prime(*triple))
+        got = supersym.s_prime_invariants(*triple)
         result.row(f"extension invariants at {triple}", got == expected, f"got {got}")
     return result
 

@@ -97,6 +97,50 @@ def test_verify_reads_env_prime(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize(
+    "argv", [("verify", "m2-gaps"), ("sweep", "--family", "supersym", "--max-abc", "60")]
+)
+def test_env_prime_is_read_only_where_a_prime_is_used(capsys, monkeypatch, argv):
+    monkeypatch.setenv("CUSPSEMI_PRIME", "abc")
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0
+    assert out and err == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("generic", "--profile", "4,6"),
+        ("verify", "supersym-generic-contains"),
+        ("sweep", "--family", "generic", "--l", "4..4"),
+    ],
+)
+def test_malformed_env_prime_names_the_variable(capsys, monkeypatch, argv):
+    monkeypatch.setenv("CUSPSEMI_PRIME", "abc")
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == "error: CUSPSEMI_PRIME must be an integer, got 'abc'\n"
+
+
+def test_info_unwritable_out_is_a_usage_error(capsys, tmp_path):
+    target = tmp_path / "missing" / "x.json"
+    code, out, err = run_cli(capsys, "info", "--gens", "6,10,15", "--out", str(target))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "No such file or directory" in err
+    assert not target.exists()
+
+
+def test_sweep_out_that_is_a_directory_is_a_usage_error(capsys, tmp_path):
+    code, out, err = run_cli(
+        capsys, "sweep", "--family", "supersym", "--max-abc", "60", "--out", str(tmp_path)
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "Is a directory" in err
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ("m2-gaps", "--l", "9..4"),

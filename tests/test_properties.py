@@ -14,7 +14,7 @@ from hypothesis import strategies as st  # noqa: E402
 
 from cuspsemi import series, supersym  # noqa: E402
 from test_series import PRIMES, reduction_edges  # noqa: E402
-from test_supersym import scan_lattice_count  # noqa: E402
+from test_supersym import scan_lattice_count, simplex_weights  # noqa: E402
 
 triples = (
     st.lists(st.integers(2, 16), min_size=3, max_size=3, unique=True)
@@ -51,8 +51,8 @@ intercepts = st.builds(Fraction, st.integers(1, 400), st.integers(1, 16))
 @settings(max_examples=200, deadline=None)
 @given(intercepts, intercepts, intercepts)
 def test_lattice_count_equals_scan(alpha, beta, gamma):
-    spec = supersym.SimplexSpec(alpha, beta, gamma)
-    assert supersym.lattice_count(spec) == scan_lattice_count(spec)
+    simplex = simplex_weights(alpha, beta, gamma)
+    assert supersym.lattice_count(*simplex) == scan_lattice_count(*simplex)
 
 
 @settings(max_examples=200, deadline=None)

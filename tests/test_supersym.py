@@ -9,7 +9,6 @@ from cuspsemi.semigroup import NumericalSemigroup
 from cuspsemi.supersym import (
     MethodMismatchError,
     NotApplicableError,
-    SimplexSpec,
     pairwise_products,
 )
 
@@ -60,34 +59,36 @@ def test_rho_two_routes_agree():
 
 def test_rho_simplex_empty_when_gapless():
     assert supersym.rho_simplex(2, 3, 5) is None
-    spec = supersym.rho_simplex(4, 5, 7)
-    assert spec == SimplexSpec(Fraction(57, 20), Fraction(57, 28), Fraction(57, 35))
+    assert supersym.rho_simplex(4, 5, 7) == (20, 28, 35, 57)
 
 
 def test_lattice_count_examples():
-    assert supersym.lattice_count(SimplexSpec(1, 1, 1)) == 4
-    spec = SimplexSpec(Fraction(13, 12), Fraction(13, 15), Fraction(13, 20))
-    assert supersym.lattice_count(spec) == 2
-    with pytest.raises(ValueError):
-        SimplexSpec(1, 0, 1)
+    assert supersym.lattice_count(1, 1, 1, 1) == 4
+    assert supersym.lattice_count(12, 15, 20, 13) == 2
+    assert supersym.lattice_count(3, 5, 7, 0) == 1
+    assert supersym.lattice_count(3, 5, 7, -1) == 0
+    for weights in ((1, 0, 1), (1, 1, -2), (-3, 1, 1)):
+        with pytest.raises(ValueError, match="weights must be positive"):
+            supersym.lattice_count(*weights, 5)
 
 
-def scan_lattice_count(spec: SimplexSpec) -> int:
+def simplex_weights(alpha: Fraction, beta: Fraction, gamma: Fraction) -> tuple[int, int, int, int]:
+    """x/alpha + y/beta + z/gamma <= 1 cross-multiplied into (u, v, w, bound)."""
+    pa, qa = alpha.numerator, alpha.denominator
+    pb, qb = beta.numerator, beta.denominator
+    pc, qc = gamma.numerator, gamma.denominator
+    return (qa * pb * pc, qb * pa * pc, qc * pa * pb, pa * pb * pc)
+
+
+def scan_lattice_count(u: int, v: int, w: int, bound: int) -> int:
     """Oracle: the direct scan over x and y, one division per (x, y)."""
-    pa, qa = spec.alpha.numerator, spec.alpha.denominator
-    pb, qb = spec.beta.numerator, spec.beta.denominator
-    pc, qc = spec.gamma.numerator, spec.gamma.denominator
-    wx = qa * pb * pc
-    wy = qb * pa * pc
-    wz = qc * pa * pb
-    total = pa * pb * pc
     count = 0
     x = 0
-    while wx * x <= total:
-        rx = total - wx * x
+    while u * x <= bound:
+        rx = bound - u * x
         y = 0
-        while wy * y <= rx:
-            count += (rx - wy * y) // wz + 1
+        while v * y <= rx:
+            count += (rx - v * y) // w + 1
             y += 1
         x += 1
     return count
@@ -124,19 +125,19 @@ def test_lattice_count_matches_scan_on_random_specs():
                 p += 1
             intercepts.append(Fraction(p, q))  # never an integer
         below_one += sum(i < 1 for i in intercepts)
-        spec = SimplexSpec(*intercepts)
-        assert supersym.lattice_count(spec) == scan_lattice_count(spec), spec
+        simplex = simplex_weights(*intercepts)
+        assert supersym.lattice_count(*simplex) == scan_lattice_count(*simplex), intercepts
     assert below_one > 0
 
 
 def test_lattice_count_matches_scan_on_rho_simplices():
     checked = 0
     for a, b, c in supersym.coprime_triples(3000):
-        spec = supersym.rho_simplex(a, b, c)
-        if spec is None:
+        simplex = supersym.rho_simplex(a, b, c)
+        if simplex is None:
             continue
         checked += 1
-        assert supersym.lattice_count(spec) == scan_lattice_count(spec), (a, b, c)
+        assert supersym.lattice_count(*simplex) == scan_lattice_count(*simplex), (a, b, c)
     assert checked == 1965
 
 
@@ -151,28 +152,57 @@ def test_lattice_count_loops_over_the_smallest_intercept(monkeypatch):
         return floor_sum(*args)
 
     monkeypatch.setattr(supersym, "_floor_sum", counted)
-    for spec in (
-        SimplexSpec(1000, 2, 1),
-        SimplexSpec(1000, Fraction(1, 2), 3),
-        SimplexSpec(Fraction(7, 2), 1000, 999),
+    for intercepts in (
+        (Fraction(1000), Fraction(2), Fraction(1)),
+        (Fraction(1000), Fraction(1, 2), Fraction(3)),
+        (Fraction(7, 2), Fraction(1000), Fraction(999)),
     ):
         calls.clear()
-        assert supersym.lattice_count(spec) == scan_lattice_count(spec)
-        assert len(calls) == int(min(spec.alpha, spec.beta, spec.gamma)) + 1
+        simplex = simplex_weights(*intercepts)
+        assert supersym.lattice_count(*simplex) == scan_lattice_count(*simplex)
+        assert len(calls) == int(min(intercepts)) + 1
 
 
 def test_yz_bounds_on_rho_simplex():
-    spec = supersym.rho_simplex(4, 5, 7)
-    assert supersym.yz_hypothesis(spec)
-    count = supersym.lattice_count(spec)
-    weak = supersym.yz_weak_bound(spec)
-    strong = supersym.yz_strong_bound(spec)
+    simplex = supersym.rho_simplex(4, 5, 7)
+    assert supersym.yz_hypothesis(*simplex)
+    count = supersym.lattice_count(*simplex)
+    weak = supersym.yz_weak_bound(*simplex)
+    strong = supersym.yz_strong_bound(*simplex)
     assert count <= strong <= weak or count <= strong  # weak may be looser
     assert strong == Fraction(12)
     # out-of-hypothesis simplex is flagged, not rejected
     small = supersym.rho_simplex(3, 4, 5)
-    assert not supersym.yz_hypothesis(small)
-    assert supersym.yz_weak_bound(small) > 0
+    assert not supersym.yz_hypothesis(*small)
+    assert supersym.yz_weak_bound(*small) > 0
+
+
+def intercept_form_yz(u: int, v: int, w: int, bound: int) -> tuple[bool, Fraction, Fraction]:
+    """Oracle: the Yau-Zhang hypothesis and bounds as stated, in the intercepts and eta."""
+    alpha, beta, gamma = Fraction(bound, u), Fraction(bound, v), Fraction(bound, w)
+    eta = 1 / alpha + 1 / beta + 1 / gamma
+    return (
+        alpha >= beta >= gamma >= 1,
+        alpha * beta * gamma * (1 + eta) ** 3 / 6,
+        (alpha * (1 + eta) - 1) * (beta * (1 + eta) - 1) * (gamma * (1 + eta) - 1) / 6,
+    )
+
+
+def test_yz_integer_forms_match_intercept_form():
+    simplices = [supersym.rho_simplex(*t) for t in supersym.coprime_triples(3000)]
+    simplices = [s for s in simplices if s is not None]
+    assert len(simplices) == 1965
+    rng = random.Random(10)
+    for _ in range(600):  # small ranges, so that ties such as w == bound occur
+        simplices.append(tuple(rng.randrange(1, 8) for _ in range(3)) + (rng.randrange(1, 16),))
+    in_hypothesis = 0
+    for simplex in simplices:
+        hypothesis, weak, strong = intercept_form_yz(*simplex)
+        assert supersym.yz_hypothesis(*simplex) == hypothesis, simplex
+        assert supersym.yz_weak_bound(*simplex) == weak, simplex
+        assert supersym.yz_strong_bound(*simplex) == strong, simplex
+        in_hypothesis += hypothesis
+    assert 0 < in_hypothesis < len(simplices)
 
 
 def test_normal_form_and_membership():
@@ -247,12 +277,11 @@ def test_genus_formula_raises_on_even_frobenius(monkeypatch):
 def test_s_prime_formulas():
     sp = supersym.s_prime(3, 4, 5)
     assert sp.generators == (12, 15, 20, 61)
-    assert (supersym.genus_s_prime(3, 4, 5), supersym.frobenius_s_prime(3, 4, 5)) == (35, 58)
+    assert supersym.s_prime_invariants(3, 4, 5) == (35, 58)
     assert (sp.genus, sp.frobenius) == (35, 58)
     sp2 = supersym.s_prime(4, 5, 7)
     assert (sp2.genus, sp2.frobenius) == (96, 177)
-    assert supersym.genus_s_prime(4, 5, 7) == 96
-    assert supersym.frobenius_s_prime(4, 5, 7) == 177
+    assert supersym.s_prime_invariants(4, 5, 7) == (96, 177)
 
 
 def test_s_prime_not_applicable_when_abc_plus_one_inside():
@@ -261,7 +290,7 @@ def test_s_prime_not_applicable_when_abc_plus_one_inside():
     with pytest.raises(NotApplicableError):
         supersym.s_prime(3, 5, 7)
     with pytest.raises(NotApplicableError):
-        supersym.genus_s_prime(3, 5, 7)
+        supersym.s_prime_invariants(3, 5, 7)
 
 
 def test_surrogate_generic_genus():
