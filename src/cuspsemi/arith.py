@@ -4,8 +4,11 @@ The generic value semigroup of such a profile contains an explicitly generated
 approximating semigroup; this module builds it, evaluates the closed-form gap
 set for m = 2, predicts Apery table entries per residue family, and computes
 the genus bounds and forbidden valuation windows used by the Monte-Carlo
-verifiers.  All values are exact (integers, or Fractions where a stated bound
-is not integral).
+verifiers.  A profile is its orders tuple, as :func:`profile_orders` returns
+it; the lower bounds and windows take any three orders (r1, r2, r3) =
+(m, m+a, m+b) and check them through
+:class:`~cuspsemi.series.RamificationProfile`.  All values are exact
+(integers, or Fractions where a stated bound is not integral).
 """
 
 from __future__ import annotations
@@ -14,38 +17,28 @@ import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from cuspsemi.semigroup import NumericalSemigroup
+from cuspsemi.series import RamificationProfile
 
 
-@dataclass(frozen=True)
-class ArithProfile:
-    """Profile (ml, ml+m, ml+2m) of three consecutive multiples of m."""
-
-    m: int
-    ell: int
-
-    def __post_init__(self) -> None:
-        if self.m < 2:
-            raise ValueError("m must be at least 2")
-        if self.ell < 2:
-            raise ValueError("ell must be at least 2")
-
-    @property
-    def orders(self) -> tuple[int, int, int]:
-        m, ell = self.m, self.ell
-        return (m * ell, m * ell + m, m * ell + 2 * m)
-
-
-def _check_parameters(m: int, ell: int) -> None:
+def profile_orders(m: int, ell: int) -> tuple[int, int, int]:
+    """Orders (ml, ml+m, ml+2m) of the profile of three consecutive multiples of m."""
     if m < 2 or ell < 2:
         raise ValueError("need m >= 2 and ell >= 2")
+    return (m * ell, m * ell + m, m * ell + 2 * m)
+
+
+def _check_parameters(m: int, ell: int) -> tuple[int, int, int]:
+    """:func:`profile_orders`, with a warning when ell < 2m leaves the closed forms' hypotheses."""
+    orders = profile_orders(m, ell)
     if ell < 2 * m:
         warnings.warn(
             f"ell={ell} is below 2*m={2 * m}; the closed forms are outside their hypotheses",
             stacklevel=3,
         )
+    return orders
 
 
 def approximation_generators(m: int, ell: int, branch: str = "general") -> tuple[int, ...]:
@@ -60,8 +53,7 @@ def approximation_generators(m: int, ell: int, branch: str = "general") -> tuple
         raise ValueError("branch must be 'general' or 'm2'")
     if branch == "m2" and m != 2:
         raise ValueError("the m2 branch requires m = 2")
-    _check_parameters(m, ell)
-    base = (m * ell, m * ell + m, m * ell + 2 * m, 2 * m * (ell + 1) + 1)
+    base = _check_parameters(m, ell) + (2 * m * (ell + 1) + 1,)
     if ell % 2 == 0:
         extra: tuple[int, ...] = (m * ell * (ell // 2 + 1) + 1,)
     elif branch == "m2":
@@ -202,7 +194,7 @@ def apery_predictions(m: int, ell: int) -> AperyFormulaResult:
 
 @dataclass(frozen=True)
 class ArithGenusBound:
-    """Genus upper bound for the generic value semigroup of an ArithProfile.
+    """Genus upper bound for the generic value semigroup of the orders (ml, ml+m, ml+2m).
 
     For even ell the stated and proof-derived values coincide.  For odd ell the
     stated closed form uses (ell+1)(ell-2)/4 (not always integral) while the
@@ -225,13 +217,28 @@ def genus_upper(m: int, ell: int) -> ArithGenusBound:
     return ArithGenusBound(stated, derived)
 
 
-def genus_lower_bound(m: int, a: int, b: int, k: int) -> int:
-    """Lower bound m(k+1) - b*C(k+1,2) - C(k+3,3) for the genus of profile (m, m+a, m+b)."""
-    if not 0 < a < b:
-        raise ValueError("need 0 < a < b")
-    if m < 2 or k < 0:
-        raise ValueError("need m >= 2 and k >= 0")
+# The bounds below hold for any three-order profile (r1, r2, r3) = (m, m+a, m+b),
+# not only for the arithmetic family; they depend on r1 = m and r3 - r1 = b.
+
+
+def _three_orders(orders: Sequence[int]) -> tuple[int, int, int]:
+    """The checked orders (r1, r2, r3) of a three-order profile."""
+    checked = RamificationProfile.of(orders).orders
+    if len(checked) != 3:
+        raise ValueError("the bounds are stated for three-order profiles")
+    return checked
+
+
+def _lower(m: int, b: int, k: int) -> int:
     return m * (k + 1) - b * math.comb(k + 1, 2) - math.comb(k + 3, 3)
+
+
+def genus_lower_bound(orders: Sequence[int], k: int) -> int:
+    """Lower bound m(k+1) - b*C(k+1,2) - C(k+3,3) for the genus of orders (m, m+a, m+b)."""
+    m, _, r3 = _three_orders(orders)
+    if k < 0:
+        raise ValueError("need k >= 0")
+    return _lower(m, r3 - m, k)
 
 
 class BestLowerBound(NamedTuple):
@@ -239,56 +246,43 @@ class BestLowerBound(NamedTuple):
     bound: int
 
 
-def best_genus_lower(m: int, a: int, b: int) -> BestLowerBound:
-    """Best choice of k for :func:`genus_lower_bound`, scanned up to ceil(2*sqrt(m)) + b."""
+def best_genus_lower(orders: Sequence[int]) -> BestLowerBound:
+    """Best k for :func:`genus_lower_bound` on orders (m, m+a, m+b), up to ceil(2*sqrt(m)) + b."""
+    m, _, r3 = _three_orders(orders)
+    b = r3 - m
     k_max = math.isqrt(4 * m)
     if k_max * k_max < 4 * m:
         k_max += 1
     k_max += b
-    best = BestLowerBound(0, genus_lower_bound(m, a, b, 0))
+    best = BestLowerBound(0, _lower(m, b, 0))
     for k in range(1, k_max + 1):
-        value = genus_lower_bound(m, a, b, k)
+        value = _lower(m, b, k)
         if value > best.bound:
             best = BestLowerBound(k, value)
     return best
 
 
-@dataclass(frozen=True)
-class ForbiddenWindow:
-    """Valuation window [lo, hi] free of achieved values except the top endpoint.
+def forbidden_window(orders: Sequence[int], d: int) -> range | None:
+    """Valuations in [d(m+b) + C(d+2,2), (d+1)m) that orders (m, m+a, m+b) cannot achieve.
 
-    ``hi`` itself equals (d+1)*m and is achieved by the (d+1)-st power of the
-    lowest-order coordinate, so the degrees that must be gaps are [lo, hi).
+    Applies when b*d + C(d+2,2) <= m; returns None otherwise.  The top endpoint
+    (d+1)*m is excluded: the (d+1)-st power of the lowest-order coordinate
+    achieves it.
     """
-
-    lo: int
-    hi: int
-
-    def excluded(self) -> range:
-        return range(self.lo, self.hi)
-
-
-def forbidden_window(m: int, a: int, b: int, d: int) -> ForbiddenWindow | None:
-    """Window of valuations the profile (m, m+a, m+b) cannot achieve, if applicable.
-
-    Applies when b*d + C(d+2,2) <= m; returns None otherwise.
-    """
-    if not 0 < a < b:
-        raise ValueError("need 0 < a < b")
-    if m < 2 or d < 0:
-        raise ValueError("need m >= 2 and d >= 0")
-    if b * d + math.comb(d + 2, 2) > m:
+    m, _, r3 = _three_orders(orders)
+    if d < 0:
+        raise ValueError("need d >= 0")
+    if (r3 - m) * d + math.comb(d + 2, 2) > m:
         return None
-    return ForbiddenWindow(d * (m + b) + math.comb(d + 2, 2), (d + 1) * m)
+    return range(d * r3 + math.comb(d + 2, 2), (d + 1) * m)
 
 
-def window_gap_bound(m: int, a: int, b: int, d: int) -> int:
-    """Guaranteed number of gaps of the value semigroup inside [d*m, (d+1)*m]."""
-    if not 0 < a < b:
-        raise ValueError("need 0 < a < b")
-    if m < 2 or d < 0:
-        raise ValueError("need m >= 2 and d >= 0")
-    return m - (b * d + math.comb(d + 2, 2))
+def window_gap_bound(orders: Sequence[int], d: int) -> int:
+    """Guaranteed gap count m - (b*d + C(d+2,2)) in [d*m, (d+1)*m] for orders (m, m+a, m+b)."""
+    m, _, r3 = _three_orders(orders)
+    if d < 0:
+        raise ValueError("need d >= 0")
+    return m - ((r3 - m) * d + math.comb(d + 2, 2))
 
 
 def asymptotic_check(m: int, ell: int, eps: float) -> bool:
@@ -297,5 +291,5 @@ def asymptotic_check(m: int, ell: int, eps: float) -> bool:
     Informational: the target is an asymptotic statement for ell much larger
     than m, so small ell can evaluate to False.
     """
-    bound = best_genus_lower(m * ell, m, 2 * m).bound
+    bound = best_genus_lower(profile_orders(m, ell)).bound
     return bound > ((2 * m) ** 1.5 / 3 - eps) * ell**1.5

@@ -9,12 +9,13 @@ with the toolkit version and seed.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import inspect
-import io
 import json
 import os
 import sys
+from typing import TextIO
 
 import cuspsemi
 from cuspsemi import arith, series, severi, supersym, verify
@@ -54,12 +55,16 @@ def _prime(args: argparse.Namespace) -> int:
         raise ValueError(f"CUSPSEMI_PRIME must be an integer, got {env!r}") from None
 
 
-def _emit_text(text: str, out: str | None) -> None:
+def _open_out(out: str | None) -> contextlib.AbstractContextManager[TextIO]:
+    """``--out`` opened for writing, or stdout, which is left open."""
     if out:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+        return open(out, "w", encoding="utf-8", newline="")
+    return contextlib.nullcontext(sys.stdout)
+
+
+def _emit_text(text: str, out: str | None) -> None:
+    with _open_out(out) as fh:
+        fh.write(text)
 
 
 def _emit_json(payload: dict, out: str | None) -> None:
@@ -171,8 +176,10 @@ _GENERIC_COLUMNS = "l,r1,r2,r3,conductor,genus,genus_lower,genus_upper,in_bounds
 def _supersym_row(triple: tuple[int, int, int]) -> dict:
     a, b, c = triple
     report = severi.excess_supersym(a, b, c)
-    applicable = not supersym.abc_plus_one_is_member(a, b, c)
-    sprime = supersym.s_prime_invariants(a, b, c) if applicable else (None, None)
+    try:
+        sprime = supersym.s_prime_invariants(a, b, c)
+    except supersym.NotApplicableError:
+        sprime = (None, None)
     return {
         "a": a,
         "b": b,
@@ -185,7 +192,7 @@ def _supersym_row(triple: tuple[int, int, int]) -> dict:
         "excess": report.excess,
         "rhobound1_holds": report.checks["rhobound1"],
         "F_poly_sign": "nonnegative" if report.checks["f-polynomial"] else "negative",
-        "sprime_applicable": applicable,
+        "sprime_applicable": sprime[0] is not None,
         "sprime_genus": sprime[0],
         "sprime_frobenius": sprime[1],
     }
@@ -195,7 +202,7 @@ def _arith_row(pair: tuple[int, int]) -> dict:
     m, ell = pair
     s = arith.approximating_semigroup(m, ell)
     bound = arith.genus_upper(m, ell)
-    best = arith.best_genus_lower(m * ell, m, 2 * m)
+    best = arith.best_genus_lower(arith.profile_orders(m, ell))
     stated = bound.stated
     return {
         "m": m,
@@ -212,9 +219,9 @@ def _arith_row(pair: tuple[int, int]) -> dict:
 
 def _generic_row(task: tuple[int, int, int, int]) -> dict:
     ell, trials, prime, seed = task
-    orders = arith.ArithProfile(2, ell).orders
+    orders = arith.profile_orders(2, ell)
     emp = series.empirical_generic_semigroup(orders, trials=trials, prime=prime, base_seed=seed)
-    lower = arith.best_genus_lower(2 * ell, 2, 4).bound
+    lower = arith.best_genus_lower(orders).bound
     upper = arith.genus_upper(2, ell).proof_derived
     r1, r2, r3 = orders
     return {
@@ -263,25 +270,23 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         sys.stderr.write(f"error: unknown family {args.family!r}\n")
         return 2
 
-    rows = [worker(task) for task in tasks]
-
-    provenance = f"cuspsemi {cuspsemi.__version__} family={args.family} seed={args.seed}"
-    if args.format == "json":
-        payload = {
-            "toolkit_version": cuspsemi.__version__,
-            "family": args.family,
-            "seed": args.seed,
-            "rows": rows,
-        }
-        _emit_json(payload, args.out)
-    else:
-        buf = io.StringIO()
-        buf.write(f"# {provenance}\n")
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow([_csv_cell(row[col]) for col in columns])
-        _emit_text(buf.getvalue(), args.out)
+    # an unwritable --out fails here, before the first row is computed
+    with _open_out(args.out) as fh:
+        rows = [worker(task) for task in tasks]
+        if args.format == "json":
+            payload = {
+                "toolkit_version": cuspsemi.__version__,
+                "family": args.family,
+                "seed": args.seed,
+                "rows": rows,
+            }
+            fh.write(json.dumps(payload, indent=2) + "\n")
+        else:
+            fh.write(f"# cuspsemi {cuspsemi.__version__} family={args.family} seed={args.seed}\n")
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(columns)
+            for row in rows:
+                writer.writerow([_csv_cell(row[col]) for col in columns])
     return 0
 
 

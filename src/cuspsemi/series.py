@@ -87,12 +87,6 @@ class RamificationProfile:
             return value
         return cls(tuple(value))
 
-    def __iter__(self):
-        return iter(self.orders)
-
-    def __len__(self) -> int:
-        return len(self.orders)
-
 
 class _Layout:
     """The packed-int layout of one (prime, precision) horizon.

@@ -3,10 +3,14 @@
 The stratum of degree-d rational curves with one cusp of a fixed ramification
 profile sits inside the Severi variety of genus-g curves; comparing its
 codimension with the expected one, (n-2)g for curves in P^3, yields an excess
-predicate.  All comparisons are exact and made on integers: the
-supersymmetric bounds are compared after scaling by their denominators (12
-for the bound polynomial, 4 for the rho cap).  Only :func:`bound_polynomial`
-builds a Fraction, to report the polynomial's rational value.
+predicate.  A profile is its orders (r1, r2, r3), checked by
+:class:`~cuspsemi.series.RamificationProfile`: the generic cusp's stratum has
+codimension r1 + r2 + r3 - 7, and the supersymmetric cusp, whose orders are
+(ab, ac, bc), adds 2 * rho(a, b, c) to it.  All comparisons are exact and
+made on integers: the supersymmetric bounds are compared after scaling by
+their denominators (12 for the bound polynomial, 4 for the rho cap).  Only
+:func:`bound_polynomial` builds a Fraction, to report the polynomial's
+rational value.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+from cuspsemi.series import RamificationProfile
 from cuspsemi.supersym import (
     genus_formula,
     pairwise_products,
@@ -41,40 +46,13 @@ class CodimReport:
     checks: dict[str, bool]
 
 
-def _validate_orders(orders: Sequence[int]) -> tuple[int, ...]:
-    out = tuple(int(r) for r in orders)
-    if not out or out[0] < 1:
-        raise ValueError("orders must be positive")
-    if any(b <= a for a, b in zip(out, out[1:])):
-        raise ValueError("orders must be strictly increasing")
-    return out
-
-
-def ramification_codim(orders: Sequence[int]) -> int:
-    """Codimension sum((r_i - i)) imposed by a ramification profile (1-indexed)."""
-    out = _validate_orders(orders)
-    return sum(r - i for i, r in enumerate(out, start=1))
-
-
 def generic_codim(orders: Sequence[int]) -> int:
-    """Expected codimension of the cuspidal stratum: sum(r_i - i) - 1.
+    """Expected codimension sum(r_i - i) - 1 of the cuspidal stratum (1-indexed).
 
-    Negative for the unramified profile (1, 2, ..., n), which is degenerate.
+    For a three-order profile (r1, r2, r3) this is r1 + r2 + r3 - 7.
     """
-    return ramification_codim(orders) - 1
-
-
-def reducibility_threshold(orders: Sequence[int]) -> int:
-    """Degree bound r1 + r2 + r3 - 6 past which the nodal count argument applies."""
-    out = _validate_orders(orders)
-    if len(out) != 3:
-        raise ValueError("the threshold is defined for three-order profiles")
-    return sum(out) - 6
-
-
-def supersym_codim(a: int, b: int, c: int) -> int:
-    """Codimension 2*rho + ab + ac + bc - 7 of the supersymmetric cuspidal stratum."""
-    return 2 * rho(a, b, c) + sum(pairwise_products(a, b, c)) - 7
+    checked = RamificationProfile.of(orders).orders
+    return sum(r - i for i, r in enumerate(checked, start=1)) - 1
 
 
 def _bound_polynomial_12(a: int, b: int, c: int) -> int:
@@ -124,7 +102,7 @@ def excess_generic_supersym(a: int, b: int, c: int, empirical_genus: int | None 
     abc = a * b * c
     members_below = supersym_semigroup(a, b, c).member_count_below(abc)
     g = abc - members_below if empirical_genus is None else empirical_genus
-    codim = sum(profile) - 7
+    codim = generic_codim(profile)
     # rhobound2: members below abc < abc - (ab+ac+bc) + 7
     rhobound2 = members_below < abc - sum(profile) + 7
     return CodimReport(

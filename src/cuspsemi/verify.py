@@ -445,7 +445,7 @@ def check_generic_montecarlo(
     :class:`~cuspsemi.series.SeedDisagreementError` (exit 4) before it is written.
     """
     def probe(ell: int) -> tuple[bool | list[str], ...]:
-        orders = arith.ArithProfile(2, ell).orders
+        orders = arith.profile_orders(2, ell)
         emp = series.empirical_generic_semigroup(orders, trials, prime, base_seed)
 
         bad_contain = []
@@ -458,7 +458,7 @@ def check_generic_montecarlo(
             ):
                 bad_contain.append(f"ell={ell} [{branch}]")
 
-        lower = arith.best_genus_lower(2 * ell, 2, 4).bound
+        lower = arith.best_genus_lower(orders).bound
         upper = arith.genus_upper(2, ell).proof_derived
         within = lower <= emp.genus <= upper
         bounds = within or [f"ell={ell} (genus {emp.genus} not in [{lower}, {upper}])"]
@@ -466,21 +466,20 @@ def check_generic_montecarlo(
         bad_windows = []
         d = 0
         while True:
-            window = arith.forbidden_window(2 * ell, 2, 4, d)
+            window = arith.forbidden_window(orders, d)
             if window is None:
                 break
-            if any(emp.contains(x) for x in window.excluded()):
+            if any(emp.contains(x) for x in window):
                 bad_windows.append(f"ell={ell} d={d}")
             d += 1
 
         bad_gapwin = []
-        m = 2 * ell
+        r1 = orders[0]
         d = 0
-        while arith.window_gap_bound(m, 2, 4, d) > 0:
-            need = arith.window_gap_bound(m, 2, 4, d)
+        while (need := arith.window_gap_bound(orders, d)) > 0:
             have = sum(
                 1
-                for x in range(d * m, (d + 1) * m + 1)
+                for x in range(d * r1, (d + 1) * r1 + 1)
                 if not emp.contains(x)
             )
             if have < need:

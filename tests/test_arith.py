@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from cuspsemi import arith
+from cuspsemi import arith, series, severi
 from cuspsemi.semigroup import NumericalSemigroup
 
 
@@ -102,32 +102,35 @@ def test_apery_predictions_report_range_finding():
     assert any("index range" in note for note in res.findings)
 
 
+def test_profile_orders():
+    assert arith.profile_orders(2, 4) == (8, 10, 12)
+    assert arith.profile_orders(3, 7) == (21, 24, 27)
+    for m, ell in ((1, 4), (2, 1)):
+        with pytest.raises(ValueError):
+            arith.profile_orders(m, ell)
+
+
 def test_genus_lower_bound_inputs():
     with pytest.raises(ValueError):
-        arith.genus_lower_bound(8, 4, 2, 1)  # offsets out of order
-    with pytest.raises(ValueError):
-        arith.genus_lower_bound(8, 2, 4, -1)
+        arith.genus_lower_bound((8, 10, 12), -1)
 
 
 def test_best_genus_lower():
-    best = arith.best_genus_lower(8, 2, 4)
+    best = arith.best_genus_lower((8, 10, 12))
     assert (best.k, best.bound) == (1, 8)
     # never worse than the k = 0 evaluation
-    assert best.bound >= arith.genus_lower_bound(8, 2, 4, 0)
+    assert best.bound >= arith.genus_lower_bound((8, 10, 12), 0)
 
 
 def test_forbidden_windows():
-    w = arith.forbidden_window(8, 2, 4, 0)
-    assert (w.lo, w.hi) == (1, 8)
-    assert list(w.excluded()) == [1, 2, 3, 4, 5, 6, 7]
-    w1 = arith.forbidden_window(8, 2, 4, 1)
-    assert (w1.lo, w1.hi) == (15, 16)
-    assert arith.forbidden_window(8, 2, 4, 3) is None
+    assert arith.forbidden_window((8, 10, 12), 0) == range(1, 8)
+    assert arith.forbidden_window((8, 10, 12), 1) == range(15, 16)
+    assert arith.forbidden_window((8, 10, 12), 3) is None
 
 
 def test_window_gap_bound():
-    assert arith.window_gap_bound(8, 2, 4, 0) == 7
-    assert arith.window_gap_bound(8, 2, 4, 1) == 1
+    assert arith.window_gap_bound((8, 10, 12), 0) == 7
+    assert arith.window_gap_bound((8, 10, 12), 1) == 1
 
 
 def test_asymptotic_check():
@@ -136,3 +139,26 @@ def test_asymptotic_check():
     assert arith.asymptotic_check(3, 10**5, 0.1)
     # the correction term 2 m^2 / sqrt(l) still exceeds eps = 0.1 here
     assert not arith.asymptotic_check(3, 10**4, 0.1)
+
+
+_BAD_ORDERS = [(8,), (1, 3, 5), (8, 8, 10), (8, 12, 10)]
+_PROFILE_ENTRY_POINTS = {
+    "value_semigroup": lambda orders: series.value_semigroup(orders, 40),
+    "start_precision": series.start_precision,
+    "generic_codim": severi.generic_codim,
+    "genus_lower_bound": lambda orders: arith.genus_lower_bound(orders, 1),
+    "best_genus_lower": arith.best_genus_lower,
+    "forbidden_window": lambda orders: arith.forbidden_window(orders, 0),
+    "window_gap_bound": lambda orders: arith.window_gap_bound(orders, 0),
+}
+_THREE_ORDER_ENTRY_POINTS = ("genus_lower_bound", "best_genus_lower", "forbidden_window", "window_gap_bound")
+
+
+@pytest.mark.parametrize(
+    "name, orders",
+    [(name, orders) for name in _PROFILE_ENTRY_POINTS for orders in _BAD_ORDERS]
+    + [(name, (8, 10, 12, 14)) for name in _THREE_ORDER_ENTRY_POINTS],
+)
+def test_profile_entry_points_reject_malformed_orders(name, orders):
+    with pytest.raises(ValueError):
+        _PROFILE_ENTRY_POINTS[name](orders)

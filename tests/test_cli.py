@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from cuspsemi import cli, series, verify
+from cuspsemi import cli, series, supersym, verify
 from cuspsemi.verify import CheckResult
 
 
@@ -131,13 +131,45 @@ def test_info_unwritable_out_is_a_usage_error(capsys, tmp_path):
     assert not target.exists()
 
 
-def test_sweep_out_that_is_a_directory_is_a_usage_error(capsys, tmp_path):
+def _count_calls(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_sweep_out_that_is_a_directory_is_a_usage_error(capsys, monkeypatch, tmp_path):
+    rows = _count_calls(monkeypatch, cli, "_supersym_row")
     code, out, err = run_cli(
         capsys, "sweep", "--family", "supersym", "--max-abc", "60", "--out", str(tmp_path)
     )
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and "Is a directory" in err
+    assert rows == []  # the file is opened before the first row
+
+
+def test_supersym_sweep_asks_membership_once_per_row(capsys, monkeypatch):
+    asked = _count_calls(monkeypatch, supersym, "abc_plus_one_is_member")
+    code, out, _ = run_cli(capsys, "sweep", "--family", "supersym", "--max-abc", "300")
+    assert code == 0
+    lines = out.splitlines()[2:]
+    assert {line.split(",")[11] for line in lines} == {"true", "false"}
+    assert sorted(asked) == sorted(tuple(map(int, line.split(",")[:3])) for line in lines)
+
+
+def test_generic_sweep_rejects_a_bad_profile_before_any_draw(capsys, monkeypatch):
+    draws = _count_calls(monkeypatch, series, "empirical_generic_semigroup")
+    code, out, err = run_cli(capsys, "sweep", "--family", "generic", "--l", "1..1")
+    assert code == 2
+    assert out == ""
+    assert err == "error: need m >= 2 and ell >= 2\n"
+    assert draws == []
 
 
 @pytest.mark.parametrize(

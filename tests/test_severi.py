@@ -5,26 +5,13 @@ import pytest
 from cuspsemi import severi, supersym
 
 
-def test_ramification_codim():
-    # sum of r_i - i over the profile, 1-indexed
-    assert severi.ramification_codim((12, 15, 20)) == 11 + 13 + 17
-    assert severi.ramification_codim((1, 2, 3)) == 0
-    assert severi.generic_codim((1, 2, 3)) == -1
-    with pytest.raises(ValueError):
-        severi.ramification_codim((3, 3, 5))
-    with pytest.raises(ValueError):
-        severi.ramification_codim((0, 2, 3))
-
-
-def test_reducibility_threshold():
-    assert severi.reducibility_threshold((3, 4, 5)) == 6
-    with pytest.raises(ValueError):
-        severi.reducibility_threshold((2, 3, 5, 7))
-
-
-def test_supersym_codim():
-    assert severi.supersym_codim(3, 4, 5) == 2 * 2 + 47 - 7
-    assert severi.supersym_codim(4, 5, 7) == 2 * 8 + 83 - 7
+def test_generic_codim():
+    # sum of r_i - i over the profile, 1-indexed, minus one: r1 + r2 + r3 - 7
+    assert severi.generic_codim((12, 15, 20)) == 11 + 13 + 17 - 1
+    assert severi.generic_codim((12, 15, 20)) == 12 + 15 + 20 - 7
+    for orders in ((3, 3, 5), (0, 2, 3), (1, 2, 3)):  # (1, 2, 3) is unramified
+        with pytest.raises(ValueError):
+            severi.generic_codim(orders)
 
 
 def test_bound_polynomial_signs():

@@ -1,11 +1,12 @@
 import dataclasses
 import importlib.util
 import inspect
+import sys
 from pathlib import Path
 
 import pytest
 
-from cuspsemi import arith, cli, supersym, verify
+from cuspsemi import arith, cli, series, supersym, verify
 from cuspsemi.semigroup import NumericalSemigroup
 from cuspsemi.verify import CheckResult, CheckRow
 
@@ -190,12 +191,16 @@ def test_apery_row_tags_profile_residue_and_family(monkeypatch):
     ]
 
 
-def _load_workloads():
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+def _load_perfbench(name):
+    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def _load_workloads():
+    return _load_perfbench("workloads")
 
 
 @pytest.mark.parametrize("workload", _load_workloads().NAMES)
@@ -210,6 +215,17 @@ def test_registry_output_matches_benchmark_reference(capsys, workload):
         assert cli.main(argv) == 0, argv
         out = capsys.readouterr().out
         assert workloads.digest(workloads.normalise(argv, 0, out)) == expected, argv
+
+
+def test_benchmark_tracer_targets_resolve(monkeypatch):
+    # The traced benchmark wraps these entry points by name and reads profile
+    # orders through series.RamificationProfile; a rename breaks it here first.
+    monkeypatch.setitem(sys.modules, "workloads", _load_workloads())
+    tracer = _load_perfbench("tracer")
+    for name, owner, attr in tracer._TARGETS:
+        assert callable(getattr(owner, attr, None)), name
+    achieved = series.value_semigroup((8, 10, 12), 40)
+    assert tracer._horizon((((8, 10, 12), 40), {}, achieved)) == (40, 28)
 
 
 # Work per instance: each checker builds a triple's objects once.
