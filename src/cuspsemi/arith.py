@@ -119,7 +119,6 @@ class AperyFormulaResult:
     records internal range inconsistencies of the stated formulas.
     """
 
-    modulus: int
     predictions: tuple[AperyPrediction, ...]
     uncovered: tuple[int, ...]
     findings: tuple[str, ...]
@@ -189,7 +188,7 @@ def apery_predictions(m: int, ell: int) -> AperyFormulaResult:
 
     uncovered = tuple(i for i in range(1, n) if i not in predictions)
     ordered = tuple(predictions[i] for i in sorted(predictions))
-    return AperyFormulaResult(n, ordered, uncovered, tuple(findings))
+    return AperyFormulaResult(ordered, uncovered, tuple(findings))
 
 
 @dataclass(frozen=True)
@@ -289,7 +288,9 @@ def asymptotic_check(m: int, ell: int, eps: float) -> bool:
     """True when the best lower bound beats ((2m)^(3/2)/3 - eps) * ell^(3/2).
 
     Informational: the target is an asymptotic statement for ell much larger
-    than m, so small ell can evaluate to False.
+    than m, so small ell can evaluate to False.  A non-finite ``eps`` is rejected.
     """
+    if not math.isfinite(eps):
+        raise ValueError(f"eps must be finite, got {eps}")
     bound = best_genus_lower(profile_orders(m, ell)).bound
     return bound > ((2 * m) ** 1.5 / 3 - eps) * ell**1.5

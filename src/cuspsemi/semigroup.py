@@ -16,38 +16,12 @@ not solve.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 from typing import Iterable
 
 
 class GcdNotOneError(ValueError):
     """Raised when a generating set has gcd != 1, so the complement would be infinite."""
-
-
-@dataclass(frozen=True)
-class AperyTable:
-    """Least semigroup members in each residue class modulo ``modulus``.
-
-    ``entries[i]`` is the least member congruent to ``i``; ``entries[0] == 0``.
-    """
-
-    modulus: int
-    entries: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if self.modulus < 1 or len(self.entries) != self.modulus:
-            raise ValueError("need exactly one entry per residue class")
-        if self.entries[0] != 0:
-            raise ValueError("the class of 0 must have least member 0")
-        for i, e in enumerate(self.entries):
-            if e % self.modulus != i:
-                raise ValueError(f"entry {e} is not congruent to {i} mod {self.modulus}")
-
-    def gap_count(self) -> int:
-        """Number of gaps, summed per residue class as (entry - residue) / modulus."""
-        n = self.modulus
-        return sum((e - i) // n for i, e in enumerate(self.entries))
 
 
 def _reach(gens: tuple[int, ...], limit: int) -> int:
@@ -84,19 +58,6 @@ def _first_run_start(bits: int, run_length: int) -> int | None:
     if not y:
         return None
     return (y & -y).bit_length() - 1
-
-
-def monoid_members(gens: Iterable[int], limit: int) -> set[int]:
-    """Members below ``limit`` of the additive monoid generated by ``gens``.
-
-    Unlike :class:`NumericalSemigroup` this places no gcd restriction on the
-    generators, so it also serves profiles whose orders share a common factor.
-    """
-    if limit < 0:
-        raise ValueError(f"limit must be nonnegative, got limit={limit}")
-    gs = tuple(sorted({int(g) for g in gens if g > 0}))
-    bits = _reach(gs, limit)
-    return {i for i in range(limit) if bits >> i & 1}
 
 
 class NumericalSemigroup:
@@ -175,14 +136,6 @@ class NumericalSemigroup:
         bits = self._bits
         return [x for x in range(self.conductor) if not bits >> x & 1]
 
-    def gaps_above(self, t: int) -> int:
-        """Number of gaps strictly greater than ``t``."""
-        lo = max(t + 1, 0)
-        if lo >= self.conductor:
-            return 0
-        width = self.conductor - lo
-        return width - ((self._bits >> lo) & ((1 << width) - 1)).bit_count()
-
     def member_count_below(self, t: int) -> int:
         """Number of members in [0, t)."""
         if t <= 0:
@@ -200,8 +153,11 @@ class NumericalSemigroup:
         rev = int(format(low, f"0{width}b")[::-1], 2)
         return low ^ rev == (1 << width) - 1
 
-    def apery(self) -> AperyTable:
-        """Apery table with respect to the multiplicity."""
+    def apery(self) -> tuple[int, ...]:
+        """Apery set with respect to the multiplicity m, as a tuple.
+
+        Entry i is the least member congruent to i mod m, so entry 0 is 0.
+        """
         n = self.multiplicity
         entries = []
         for i in range(n):
@@ -209,7 +165,7 @@ class NumericalSemigroup:
             while not self.contains(x):
                 x += n
             entries.append(x)
-        return AperyTable(n, tuple(entries))
+        return tuple(entries)
 
     def factorizations(self, s: int) -> list[tuple[int, ...]]:
         """All nonnegative coefficient vectors over the generators summing to ``s``.

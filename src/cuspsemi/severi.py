@@ -94,9 +94,9 @@ def excess_generic_supersym(a: int, b: int, c: int, empirical_genus: int | None 
     """Excess verdict for the generic cusp with profile (ab, ac, bc).
 
     The generic stratum has codimension ab + ac + bc - 7; the genus defaults to
-    the exact lower bound :func:`surrogate_generic_genus` when no Monte-Carlo
-    value is supplied (a smaller genus only strengthens a negative verdict, so
-    the sufficient inequality rhobound2 is checked alongside).
+    the exact lower bound abc - #{members of <ab, ac, bc> below abc} when no
+    Monte-Carlo value is supplied (a smaller genus only strengthens a negative
+    verdict, so the sufficient inequality rhobound2 is checked alongside).
     """
     profile = pairwise_products(a, b, c)
     abc = a * b * c

@@ -276,12 +276,6 @@ def s_prime_invariants(a: int, b: int, c: int) -> tuple[int, int]:
     return genus, frobenius
 
 
-def surrogate_generic_genus(a: int, b: int, c: int) -> int:
-    """Gap count of <ab, ac, bc> below abc, a lower bound for the generic-cusp genus."""
-    abc = a * b * c
-    return abc - supersym_semigroup(a, b, c).member_count_below(abc)
-
-
 def generic_contains_abc_plus(
     a: int, b: int, c: int, prime: int = DEFAULT_PRIME, seed: int = 0
 ) -> tuple[bool, bool]:

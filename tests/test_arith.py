@@ -75,7 +75,7 @@ def test_genus_upper_odd_derived_is_exact():
 def test_apery_predictions_even():
     res = arith.apery_predictions(2, 4)
     s = arith.approximating_semigroup(2, 4)
-    table = s.apery().entries
+    table = s.apery()
     for pred in res.predictions:
         assert table[pred.residue] == pred.value, pred
     assert res.uncovered == (3,)
@@ -83,7 +83,7 @@ def test_apery_predictions_even():
 
 def test_apery_predictions_larger_even():
     res = arith.apery_predictions(3, 6)
-    table = arith.approximating_semigroup(3, 6).apery().entries
+    table = arith.approximating_semigroup(3, 6).apery()
     for pred in res.predictions:
         assert table[pred.residue] == pred.value, pred
     assert set(res.uncovered) == {4, 5, 11}
@@ -92,7 +92,7 @@ def test_apery_predictions_larger_even():
 @pytest.mark.parametrize("m,ell", [(2, 5), (2, 7), (3, 7), (3, 9), (4, 9)])
 def test_apery_predictions_odd(m, ell):
     res = arith.apery_predictions(m, ell)
-    table = arith.approximating_semigroup(m, ell).apery().entries
+    table = arith.approximating_semigroup(m, ell).apery()
     for pred in res.predictions:
         assert table[pred.residue] == pred.value, pred
 

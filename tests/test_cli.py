@@ -1,3 +1,4 @@
+import inspect
 import json
 import subprocess
 import sys
@@ -270,6 +271,39 @@ def test_verify_flag_passthrough(capsys):
     code, out, _ = run_cli(capsys, "verify", "supersym-invariants", "--max-abc", "300")
     assert code == 0
     assert "result: PASS" in out
+
+
+def test_verify_flags_reach_every_checker_parameter():
+    # every verify flag set to its own value; a renamed checker parameter
+    # would either lose its value or leave a flag that reaches no checker
+    values = {
+        "max_abc": 101, "l": (102, 103), "m": (104, 105), "l_max": 106, "trials": 107,
+        "seed": 108, "prime": 109, "instances": 110, "samples": 111, "eps": 0.25,
+    }
+    argv = ["verify", "supersym-invariants"]
+    for dest, value in values.items():
+        text = "..".join(map(str, value)) if isinstance(value, tuple) else str(value)
+        argv += [f"--{dest.replace('_', '-')}", text]
+    parser = cli.build_parser()
+    args = parser.parse_args(argv)
+    defaults = vars(parser.parse_args(["verify"]))
+    flags = {dest for dest in defaults if dest not in ("command", "func", "theorem", "list_theorems")}
+    assert flags == set(values)
+    reached = set()
+    for name, (_, func) in verify.THEOREMS.items():
+        kwargs = cli._verify_kwargs(func, args)
+        assert set(kwargs) == set(inspect.signature(func).parameters), name
+        reached.update(kwargs.values())
+    for dest, value in values.items():
+        assert set(value if isinstance(value, tuple) else (value,)) <= reached, dest
+
+
+@pytest.mark.parametrize("eps", ["nan", "inf", "-inf"])
+def test_verify_rejects_a_non_finite_eps(capsys, eps):
+    code, out, err = run_cli(capsys, "verify", "asymptotic-lower", f"--eps={eps}")
+    assert code == 2
+    assert out == ""
+    assert err == f"error: eps must be finite, got {eps}\n"
 
 
 def test_sweep_supersym_csv(capsys):

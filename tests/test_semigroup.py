@@ -3,14 +3,7 @@ from math import gcd
 
 import pytest
 
-from cuspsemi.semigroup import (
-    AperyTable,
-    GcdNotOneError,
-    NumericalSemigroup,
-    _first_run_start,
-    _reach,
-    monoid_members,
-)
+from cuspsemi.semigroup import GcdNotOneError, NumericalSemigroup, _first_run_start, _reach
 
 
 def fixpoint_reach(gens, limit):
@@ -101,12 +94,8 @@ def test_membership_and_gaps():
     assert 35 in s
     assert 73 not in s
     assert all(x in s for x in range(74, 200))
-    assert s.gaps_above(60) == 2
+    assert [x for x in s.gaps() if x > 60] == [61, 73]
     assert len(s.gaps()) == s.genus
-
-
-def test_gaps_above_quadruple():
-    assert NumericalSemigroup((20, 28, 35)).gaps_above(140) == 8
 
 
 def test_member_count_below():
@@ -125,22 +114,31 @@ def test_member_count_below():
     ],
 )
 def test_apery_entries(gens, expected):
-    assert NumericalSemigroup(gens).apery().entries == expected
+    assert NumericalSemigroup(gens).apery() == expected
 
 
 def test_apery_gap_count_identity():
+    # Selmer: the genus is the sum of (w - i) / m over the Apery entries w = i mod m
     for gens in [(6, 10, 15), (8, 10, 12, 21, 25), (12, 15, 20), (3, 5, 7)]:
         s = NumericalSemigroup(gens)
-        assert s.apery().gap_count() == s.genus
+        m = s.multiplicity
+        assert sum((w - i) // m for i, w in enumerate(s.apery())) == s.genus
 
 
-def test_apery_table_validates():
-    with pytest.raises(ValueError):
-        AperyTable(3, (0, 1))  # wrong length
-    with pytest.raises(ValueError):
-        AperyTable(3, (0, 2, 4))  # residue mismatch at index 1
-    with pytest.raises(ValueError):
-        AperyTable(3, (3, 4, 5))  # must start at 0
+def test_apery_is_the_least_member_of_each_class_on_random_semigroups():
+    rng = random.Random(12)
+    seen = 0
+    while seen < 200:
+        gens = tuple(sorted({rng.randint(1, 60) for _ in range(rng.randint(1, 5))}))
+        if gcd(*gens) != 1:
+            continue
+        seen += 1
+        s = NumericalSemigroup(gens)
+        m = s.multiplicity
+        apery = s.apery()
+        assert len(apery) == m and apery[0] == 0, gens
+        for i, w in enumerate(apery):
+            assert w % m == i and w in s and w - m not in s, (gens, i, w)
 
 
 def test_factorizations_match_membership():
@@ -181,10 +179,6 @@ def test_semantic_equality():
     assert hash(NumericalSemigroup((4, 5))) == hash(NumericalSemigroup((4, 5, 13)))
 
 
-def test_monoid_members_allows_common_factor():
-    assert monoid_members((4, 6), 21) == {0, 4, 6, 8, 10, 12, 14, 16, 18, 20}
-
-
 def test_closure_sample():
     s = NumericalSemigroup((7, 11, 13))
     members = [x for x in range(0, 2 * s.conductor) if x in s]
@@ -219,12 +213,6 @@ def test_reach_edge_cases(gens, limit):
 
 def test_reach_returns_only_bits_below_limit():
     assert _reach((2, 3), 0) == 0
-    assert monoid_members((2, 3), 0) == set()
-
-
-def test_monoid_members_rejects_negative_limit():
-    with pytest.raises(ValueError, match="limit"):
-        monoid_members((2, 3), -1)
 
 
 def test_first_run_start_matches_linear_scan_on_random_inputs():

@@ -293,13 +293,6 @@ def test_s_prime_not_applicable_when_abc_plus_one_inside():
         supersym.s_prime_invariants(3, 5, 7)
 
 
-def test_surrogate_generic_genus():
-    # counts abc - |members below abc|, the generic gap count
-    g = supersym.surrogate_generic_genus(3, 4, 5)
-    s = NumericalSemigroup((12, 15, 20))
-    assert g == 60 - s.member_count_below(60)
-
-
 def test_generic_contains_abc_plus():
     one, two = supersym.generic_contains_abc_plus(2, 3, 5, seed=0)
     assert one and two

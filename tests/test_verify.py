@@ -168,6 +168,55 @@ def test_montecarlo_row_tags_each_failing_branch(monkeypatch):
     assert [row.ok for row in res.rows] == [True, False, True, True, True, True]
 
 
+def _fake_montecarlo(monkeypatch, fake):
+    """Make ``check_generic_montecarlo`` see ``fake(real)`` for the l = 4 profile (8, 10, 12)."""
+    empirical = series.empirical_generic_semigroup
+
+    def patched(orders, *args):
+        s = empirical(orders, *args)
+        return fake(s) if tuple(orders) == (8, 10, 12) else s
+
+    monkeypatch.setattr(series, "empirical_generic_semigroup", patched)
+    return verify.check_generic_montecarlo(l_lo=4, l_hi=5)
+
+
+def test_montecarlo_row_tags_forbidden_window_value(monkeypatch):
+    # 15 lies in the d = 1 window [15, 16) of (8, 10, 12); 9 stays a gap in [8, 16]
+    res = _fake_montecarlo(monkeypatch, lambda s: NumericalSemigroup(s.generators + (15,)))
+    assert res.rows[3] == CheckRow(
+        "forbidden windows avoid achieved values", False, "failed at ell=4 d=1"
+    )
+    assert [row.ok for row in res.rows] == [True, True, True, False, True, True]
+
+
+def test_montecarlo_row_tags_window_with_too_few_gaps(monkeypatch):
+    # <8, ..., 15> has no gap in [8, 16], where (8, 10, 12) guarantees one
+    res = _fake_montecarlo(monkeypatch, lambda s: NumericalSemigroup(range(8, 16)))
+    assert res.rows[4] == CheckRow("window gap counts", False, "failed at ell=4 d=1")
+    assert res.rows[3] == CheckRow(
+        "forbidden windows avoid achieved values", False, "failed at ell=4 d=1"
+    )
+    assert res.rows[2] == CheckRow(
+        "lower <= genus <= upper", False, "failed at ell=4 (genus 7 not in [8, 16])"
+    )
+    assert [row.ok for row in res.rows] == [True, True, False, False, False, True]
+
+
+def test_montecarlo_row_tags_missing_profile_order(monkeypatch):
+    # dropping the generator 10 leaves 10 a gap; no sum of 8 reaches it
+    res = _fake_montecarlo(
+        monkeypatch, lambda s: NumericalSemigroup(g for g in s.generators if g != 10)
+    )
+    assert res.rows[5] == CheckRow("profile monoid contained", False, "failed at ell=4")
+    assert res.rows[1] == CheckRow(
+        "approximating semigroup contained", False, "failed at ell=4 [general]"
+    )
+    assert res.rows[2] == CheckRow(
+        "lower <= genus <= upper", False, "failed at ell=4 (genus 17 not in [8, 16])"
+    )
+    assert [row.ok for row in res.rows] == [True, False, False, True, True, False]
+
+
 def test_apery_row_tags_profile_residue_and_family(monkeypatch):
     predictions = arith.apery_predictions
 
