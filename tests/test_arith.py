@@ -1,3 +1,5 @@
+import math
+import random
 import warnings
 from fractions import Fraction
 
@@ -33,7 +35,7 @@ def test_small_ell_warns():
     assert any("ell" in str(w.message) for w in caught)
 
 
-@pytest.mark.parametrize("ell", range(4, 17))
+@pytest.mark.parametrize("ell", range(4, 41))
 def test_m2_gap_set_matches_sieve(ell):
     s = NumericalSemigroup(arith.approximation_generators(2, ell, branch="m2"))
     predicted = arith.gap_set_m2(ell)
@@ -102,6 +104,16 @@ def test_apery_predictions_report_range_finding():
     assert any("index range" in note for note in res.findings)
 
 
+def test_apery_predictions_match_the_sieve_for_both_parities():
+    for m in range(2, 7):
+        for ell in range(2 * m, 32):
+            res = arith.apery_predictions(m, ell)
+            table = arith.approximating_semigroup(m, ell).apery()
+            for pred in res.predictions:
+                assert table[pred.residue] == pred.value, (m, ell, pred)
+            assert len(res.findings) == 1 and "index range" in res.findings[0], (m, ell)
+
+
 def test_profile_orders():
     assert arith.profile_orders(2, 4) == (8, 10, 12)
     assert arith.profile_orders(3, 7) == (21, 24, 27)
@@ -120,6 +132,22 @@ def test_best_genus_lower():
     assert (best.k, best.bound) == (1, 8)
     # never worse than the k = 0 evaluation
     assert best.bound >= arith.genus_lower_bound((8, 10, 12), 0)
+
+
+def _brute_best_lower(m, b):
+    """Smallest k in [0, m] maximising m(k+1) - b*C(k+1,2) - C(k+3,3)."""
+    values = [m * (k + 1) - b * math.comb(k + 1, 2) - math.comb(k + 3, 3) for k in range(m + 1)]
+    best = max(values)
+    return values.index(best), best
+
+
+def test_best_genus_lower_is_the_smallest_maximiser():
+    rng = random.Random(20231)
+    for _ in range(1000):
+        m = rng.randint(2, 200)
+        a, b = sorted(rng.sample(range(1, 41), 2))
+        best = arith.best_genus_lower((m, m + a, m + b))
+        assert tuple(best) == _brute_best_lower(m, b), (m, a, b)
 
 
 def test_forbidden_windows():
