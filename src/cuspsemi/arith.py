@@ -3,11 +3,13 @@
 The generic value semigroup of such a profile contains an explicitly generated
 approximating semigroup; this module builds it, evaluates the closed-form gap
 set for m = 2, predicts Apery table entries per residue family, and computes
-the genus bounds and forbidden valuation windows used by the Monte-Carlo
-verifiers.  A profile is its orders tuple, as :func:`profile_orders` returns
-it; the lower bounds and windows take any three orders (r1, r2, r3) =
-(m, m+a, m+b) and check them through
-:class:`~cuspsemi.series.RamificationProfile`.  All values are exact
+the genus upper bound, the best genus lower bound and the forbidden valuation
+windows used by the Monte-Carlo verifiers.  The gap set and the Apery
+predictions are each one formula for both parities of ell: parity enters
+through range bounds such as ell // 2 and a few named terms.  A profile is
+its orders tuple, as :func:`profile_orders` returns it; the lower bound and
+the windows take any three orders (r1, r2, r3) = (m, m+a, m+b) and check them
+through :class:`~cuspsemi.series.RamificationProfile`.  All values are exact
 (integers, or Fractions where a stated bound is not integral).
 """
 
@@ -72,33 +74,22 @@ def approximating_semigroup(m: int, ell: int, branch: str = "general") -> Numeri
 
 
 def gap_set_m2(ell: int) -> tuple[int, ...]:
-    """Closed-form gap set of the m = 2 approximating semigroup.
+    """Closed-form gap set of the m = 2 approximating semigroup, for ell >= 4.
 
-    Even ell needs ell >= 4, odd ell needs ell >= 5.  The cardinality is
+    Only the two largest gaps depend on the parity of ell.  The cardinality is
     ceil(ell**2 / 2) + 2*ell.
     """
-    out: set[int] = set()
+    if ell < 4:
+        raise ValueError(f"ell must be at least 4, got ell={ell}")
+    out = set(range(1, 2 * ell)) | set(range(2 * ell + 1, 4 * ell + 4, 2))
+    for i in range(1, ell // 2):
+        out |= set(range(2 * (i * ell + 2 * i + 1), 2 * ((i + 1) * ell - 1) + 1, 2))
+    for i in range(1, (ell - 1) // 2):
+        out |= set(range(2 * (i + 1) * ell + 4 * i + 3, 2 * (i + 2) * ell + 4, 2))
     if ell % 2 == 0:
-        if ell < 4:
-            raise ValueError("even ell must be at least 4")
-        out |= set(range(1, 2 * ell))
-        out |= set(range(2 * ell + 1, 4 * ell + 4, 2))
-        for i in range(1, ell // 2):
-            out |= set(range(2 * (i * ell + 2 * i + 1), 2 * ((i + 1) * ell - 1) + 1, 2))
-        for i in range(1, ell // 2 - 1):
-            out |= set(range(2 * (i + 1) * ell + 4 * i + 3, 2 * (i + 2) * ell + 4, 2))
         out |= {ell * ell + 2 * ell - 1, ell * ell + 2 * ell + 3}
     else:
-        if ell < 5:
-            raise ValueError("odd ell must be at least 5")
-        half = (ell - 1) // 2
-        out |= set(range(1, 2 * ell))
-        out |= set(range(2 * ell + 1, 4 * ell + 4, 2))
-        for i in range(1, half):
-            out |= set(range(2 * (i * ell + 2 * i + 1), 2 * ((i + 1) * ell - 1) + 1, 2))
-        for i in range(1, half):
-            out |= set(range(2 * (i + 1) * ell + 4 * i + 3, 2 * (i + 2) * ell + 4, 2))
-        out |= {ell * ell + 3 * ell + 3}
+        out.add(ell * ell + 3 * ell + 3)
     return tuple(sorted(out))
 
 
@@ -127,17 +118,14 @@ class AperyFormulaResult:
 def apery_predictions(m: int, ell: int) -> AperyFormulaResult:
     """Predicted Apery entries of the approximating semigroup, by formula family.
 
-    The stated nonspecial family ranges j up to ell - 1, but indices 2mj + k
-    stay inside [1, ml - 1] only for j up to ell/2 - 1 (even ell; the odd case
-    is analogous), which is also the range the genus identity sums over.  The
-    larger stated range is recorded as a finding and the consistent range is
-    used.
+    The stated nonspecial family ranges j up to ell - 1, but its indices
+    2mj + k and 2mj + m + k stay inside [1, ml - 1] only for j < ceil(ell/2)
+    and j < floor(ell/2), which is also the range the genus identity sums over.
+    The larger stated range is recorded as a finding and the consistent range
+    is used.  The parity of ell enters only through the last generator ``top``
+    (the special family) and the g2 term of the special-bis family.
     """
-    _check_parameters(m, ell)
-    n = m * ell
-    g1 = m * ell + 2 * m
-    g2 = m * ell + m
-    gb = 2 * m * (ell + 1) + 1
+    n, g2, g1, gb, *_, top = approximation_generators(m, ell)
 
     predictions: dict[int, AperyPrediction] = {}
     findings: list[str] = [
@@ -160,31 +148,17 @@ def apery_predictions(m: int, ell: int) -> AperyFormulaResult:
             return
         predictions[residue] = AperyPrediction(residue, value, family)
 
-    if ell % 2 == 0:
-        for k in range(m):
-            for j in range(k, ell // 2):
-                if 2 * m * j + k:
-                    add(2 * m * j + k, (j - k) * g1 + k * gb, "nonspecial")
-                add(2 * m * j + m + k, g2 + (j - k) * g1 + k * gb, "nonspecial")
-        gt = m * ell * (ell // 2 + 1) + 1
-        for j in range(m - 1):
-            add(2 * m * j + j + 1, j * gb + gt, "special")
-        for j in range(m - 1):
-            for k in range(j + 2, m):
-                add(2 * m * j + k, (j + ell // 2 - k) * g1 + k * gb, "special-bis")
-    else:
-        for k in range(m):
-            for j in range(k, (ell - 1) // 2 + 1):
-                if 2 * m * j + k:
-                    add(2 * m * j + k, (j - k) * g1 + k * gb, "nonspecial")
-            for j in range(k, (ell - 3) // 2 + 1):
-                add(2 * m * j + m + k, g2 + (j - k) * g1 + k * gb, "nonspecial")
-        go = m * ell * (ell + 3) // 2 + 1
-        for j in range(m - 1):
-            add(2 * m * j + j + 1, go + j * gb, "special")
-        for j in range(m - 1):
-            for k in range(j + 2, m):
-                add(2 * m * j + k, g2 + (j + (ell - 1) // 2 - k) * g1 + k * gb, "special-bis")
+    for k in range(m):
+        for j in range(k, (ell + 1) // 2):
+            if 2 * m * j + k:
+                add(2 * m * j + k, (j - k) * g1 + k * gb, "nonspecial")
+        for j in range(k, ell // 2):
+            add(2 * m * j + m + k, g2 + (j - k) * g1 + k * gb, "nonspecial")
+    for j in range(m - 1):
+        add(2 * m * j + j + 1, top + j * gb, "special")
+    for j in range(m - 1):
+        for k in range(j + 2, m):
+            add(2 * m * j + k, (ell % 2) * g2 + (j + ell // 2 - k) * g1 + k * gb, "special-bis")
 
     uncovered = tuple(i for i in range(1, n) if i not in predictions)
     ordered = tuple(predictions[i] for i in sorted(predictions))
@@ -228,37 +202,24 @@ def _three_orders(orders: Sequence[int]) -> tuple[int, int, int]:
     return checked
 
 
-def _lower(m: int, b: int, k: int) -> int:
-    return m * (k + 1) - b * math.comb(k + 1, 2) - math.comb(k + 3, 3)
-
-
-def genus_lower_bound(orders: Sequence[int], k: int) -> int:
-    """Lower bound m(k+1) - b*C(k+1,2) - C(k+3,3) for the genus of orders (m, m+a, m+b)."""
-    m, _, r3 = _three_orders(orders)
-    if k < 0:
-        raise ValueError("need k >= 0")
-    return _lower(m, r3 - m, k)
-
-
 class BestLowerBound(NamedTuple):
     k: int
     bound: int
 
 
 def best_genus_lower(orders: Sequence[int]) -> BestLowerBound:
-    """Best k for :func:`genus_lower_bound` on orders (m, m+a, m+b), up to ceil(2*sqrt(m)) + b."""
+    """Best genus lower bound for orders (m, m+a, m+b), at the smallest k attaining it.
+
+    Each k >= 0 gives the bound m(k+1) - b*C(k+1,2) - C(k+3,3).  Raising k by
+    one adds m - b(k+1) - C(k+3,2), which strictly falls as k grows, so the
+    first k at which that step is not positive is the smallest maximiser.
+    """
     m, _, r3 = _three_orders(orders)
     b = r3 - m
-    k_max = math.isqrt(4 * m)
-    if k_max * k_max < 4 * m:
-        k_max += 1
-    k_max += b
-    best = BestLowerBound(0, _lower(m, b, 0))
-    for k in range(1, k_max + 1):
-        value = _lower(m, b, k)
-        if value > best.bound:
-            best = BestLowerBound(k, value)
-    return best
+    k, bound = 0, m - 1
+    while (step := m - b * (k + 1) - math.comb(k + 3, 2)) > 0:
+        k, bound = k + 1, bound + step
+    return BestLowerBound(k, bound)
 
 
 def forbidden_window(orders: Sequence[int], d: int) -> range | None:
@@ -266,7 +227,8 @@ def forbidden_window(orders: Sequence[int], d: int) -> range | None:
 
     Applies when b*d + C(d+2,2) <= m; returns None otherwise.  The top endpoint
     (d+1)*m is excluded: the (d+1)-st power of the lowest-order coordinate
-    achieves it.
+    achieves it.  Every valuation in the window is a gap, so [d*m, (d+1)*m]
+    holds at least len(window) = m - (b*d + C(d+2,2)) gaps.
     """
     m, _, r3 = _three_orders(orders)
     if d < 0:
@@ -274,14 +236,6 @@ def forbidden_window(orders: Sequence[int], d: int) -> range | None:
     if (r3 - m) * d + math.comb(d + 2, 2) > m:
         return None
     return range(d * r3 + math.comb(d + 2, 2), (d + 1) * m)
-
-
-def window_gap_bound(orders: Sequence[int], d: int) -> int:
-    """Guaranteed gap count m - (b*d + C(d+2,2)) in [d*m, (d+1)*m] for orders (m, m+a, m+b)."""
-    m, _, r3 = _three_orders(orders)
-    if d < 0:
-        raise ValueError("need d >= 0")
-    return m - ((r3 - m) * d + math.comb(d + 2, 2))
 
 
 def asymptotic_check(m: int, ell: int, eps: float) -> bool:

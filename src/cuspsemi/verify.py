@@ -445,6 +445,8 @@ def check_generic_montecarlo(
 
     The "seeds agree" row cannot fail: a disagreement raises
     :class:`~cuspsemi.series.SeedDisagreementError` (exit 4) before it is written.
+    Nor can "profile monoid contained": a profile order missing from the agreed
+    semigroup raises :class:`~cuspsemi.series.AchievedSetError` (exit 3) first.
     """
     def probe(ell: int) -> tuple[bool | list[str], ...]:
         orders = arith.profile_orders(2, ell)
@@ -463,25 +465,17 @@ def check_generic_montecarlo(
         within = lower <= emp.genus <= upper
         bounds = within or [f"ell={ell} (genus {emp.genus} not in [{lower}, {upper}])"]
 
-        bad_windows = []
-        d = 0
-        while True:
-            window = arith.forbidden_window(orders, d)
-            if window is None:
-                break
-            if emp.member_count_below(window.stop) > emp.member_count_below(window.start):
-                bad_windows.append(f"ell={ell} d={d}")
-            d += 1
-
-        bad_gapwin = []
+        bad_windows, bad_gapwin = [], []
         r1 = orders[0]
         d = 0
-        while (need := arith.window_gap_bound(orders, d)) > 0:
+        while (window := arith.forbidden_window(orders, d)) is not None:
+            if emp.member_count_below(window.stop) > emp.member_count_below(window.start):
+                bad_windows.append(f"ell={ell} d={d}")
             # gaps in [d*r1, (d+1)*r1], both ends included
             have = r1 + 1 - (
                 emp.member_count_below((d + 1) * r1 + 1) - emp.member_count_below(d * r1)
             )
-            if have < need:
+            if have < len(window):
                 bad_gapwin.append(f"ell={ell} d={d}")
             d += 1
 

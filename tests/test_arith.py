@@ -1,5 +1,6 @@
 import math
 import random
+import time
 import warnings
 from fractions import Fraction
 
@@ -43,9 +44,10 @@ def test_m2_gap_set_matches_sieve(ell):
     assert len(predicted) == (ell * ell + 1) // 2 + 2 * ell
 
 
-def test_gap_set_m2_rejects_tiny_ell():
-    with pytest.raises(ValueError):
-        arith.gap_set_m2(3)
+@pytest.mark.parametrize("ell", (-1, 0, 1, 2, 3))
+def test_gap_set_m2_rejects_tiny_ell(ell):
+    with pytest.raises(ValueError, match=f"ell must be at least 4, got ell={ell}$"):
+        arith.gap_set_m2(ell)
 
 
 def test_genus_values():
@@ -122,16 +124,9 @@ def test_profile_orders():
             arith.profile_orders(m, ell)
 
 
-def test_genus_lower_bound_inputs():
-    with pytest.raises(ValueError):
-        arith.genus_lower_bound((8, 10, 12), -1)
-
-
 def test_best_genus_lower():
     best = arith.best_genus_lower((8, 10, 12))
     assert (best.k, best.bound) == (1, 8)
-    # never worse than the k = 0 evaluation
-    assert best.bound >= arith.genus_lower_bound((8, 10, 12), 0)
 
 
 def _brute_best_lower(m, b):
@@ -150,15 +145,22 @@ def test_best_genus_lower_is_the_smallest_maximiser():
         assert tuple(best) == _brute_best_lower(m, b), (m, a, b)
 
 
+def test_best_genus_lower_stops_at_its_maximum():
+    # a scan linear in b = r3 - r1 would take minutes at this size
+    start = time.perf_counter()
+    assert arith.best_genus_lower((8, 10, 10**9)) == (0, 7)
+    assert time.perf_counter() - start < 1.0
+
+
 def test_forbidden_windows():
     assert arith.forbidden_window((8, 10, 12), 0) == range(1, 8)
     assert arith.forbidden_window((8, 10, 12), 1) == range(15, 16)
     assert arith.forbidden_window((8, 10, 12), 3) is None
 
 
-def test_window_gap_bound():
-    assert arith.window_gap_bound((8, 10, 12), 0) == 7
-    assert arith.window_gap_bound((8, 10, 12), 1) == 1
+def test_forbidden_window_gap_count():
+    assert len(arith.forbidden_window((8, 10, 12), 0)) == 7
+    assert len(arith.forbidden_window((8, 10, 12), 1)) == 1
 
 
 def test_asymptotic_check():
@@ -174,12 +176,10 @@ _PROFILE_ENTRY_POINTS = {
     "value_semigroup": lambda orders: series.value_semigroup(orders, 40),
     "start_precision": series.start_precision,
     "generic_codim": severi.generic_codim,
-    "genus_lower_bound": lambda orders: arith.genus_lower_bound(orders, 1),
     "best_genus_lower": arith.best_genus_lower,
     "forbidden_window": lambda orders: arith.forbidden_window(orders, 0),
-    "window_gap_bound": lambda orders: arith.window_gap_bound(orders, 0),
 }
-_THREE_ORDER_ENTRY_POINTS = ("genus_lower_bound", "best_genus_lower", "forbidden_window", "window_gap_bound")
+_THREE_ORDER_ENTRY_POINTS = ("best_genus_lower", "forbidden_window")
 
 
 @pytest.mark.parametrize(
