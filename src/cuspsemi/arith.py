@@ -16,6 +16,7 @@ through :class:`~cuspsemi.series.RamificationProfile`.  All values are exact
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -36,9 +37,13 @@ def _check_parameters(m: int, ell: int) -> tuple[int, int, int]:
     """:func:`profile_orders`, with a warning when ell < 2m leaves the closed forms' hypotheses."""
     orders = profile_orders(m, ell)
     if ell < 2 * m:
+        # the warning names the first caller outside this module
+        frame, level = sys._getframe(), 1
+        while frame.f_back is not None and frame.f_code.co_filename == __file__:
+            frame, level = frame.f_back, level + 1
         warnings.warn(
             f"ell={ell} is below 2*m={2 * m}; the closed forms are outside their hypotheses",
-            stacklevel=3,
+            stacklevel=level,
         )
     return orders
 

@@ -173,8 +173,7 @@ _ARITH_COLUMNS = (
 _GENERIC_COLUMNS = "l,r1,r2,r3,conductor,genus,genus_lower,genus_upper,in_bounds".split(",")
 
 
-def _supersym_row(triple: tuple[int, int, int]) -> dict:
-    a, b, c = triple
+def _supersym_row(a: int, b: int, c: int) -> dict:
     report = severi.excess_supersym(a, b, c)
     try:
         sprime = supersym.s_prime_invariants(a, b, c)
@@ -188,7 +187,7 @@ def _supersym_row(triple: tuple[int, int, int]) -> dict:
         "frobenius": supersym.frobenius_formula(a, b, c),
         "rho": supersym.rho(a, b, c),
         "codim": report.codim,
-        "nodal_codim": report.nodal_codim,
+        "nodal_codim": report.genus,  # (n - 2) * genus in P^3
         "excess": report.excess,
         "rhobound1_holds": report.checks["rhobound1"],
         "F_poly_sign": "nonnegative" if report.checks["f-polynomial"] else "negative",
@@ -198,8 +197,7 @@ def _supersym_row(triple: tuple[int, int, int]) -> dict:
     }
 
 
-def _arith_row(pair: tuple[int, int]) -> dict:
-    m, ell = pair
+def _arith_row(m: int, ell: int) -> dict:
     s = arith.approximating_semigroup(m, ell)
     bound = arith.genus_upper(m, ell)
     best = arith.best_genus_lower(arith.profile_orders(m, ell))
@@ -217,8 +215,7 @@ def _arith_row(pair: tuple[int, int]) -> dict:
     }
 
 
-def _generic_row(task: tuple[int, int, int, int]) -> dict:
-    ell, trials, prime, seed = task
+def _generic_row(ell: int, trials: int, prime: int, seed: int) -> dict:
     orders = arith.profile_orders(2, ell)
     emp = series.empirical_generic_semigroup(orders, trials=trials, prime=prime, base_seed=seed)
     lower = arith.best_genus_lower(orders).bound
@@ -247,29 +244,28 @@ def _csv_cell(value: object) -> str:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     if args.family == "supersym":
-        tasks = list(supersym.coprime_triples(args.max_abc, min_a=args.min_a))
-        worker = _supersym_row
+        # listed here, so that a bad --min-a fails before --out is opened
+        triples = list(supersym.coprime_triples(args.max_abc, min_a=args.min_a))
+        rows = (_supersym_row(*t) for t in triples)
         columns = _SUPERSYM_COLUMNS
     elif args.family == "arith":
         m_lo, m_hi = args.m if args.m else (2, 4)
         l_lo, l_hi = args.l if args.l else (4, 12)
-        tasks = [
-            (m, ell)
+        rows = (
+            _arith_row(m, ell)
             for m in range(m_lo, m_hi + 1)
             for ell in range(max(l_lo, 2 * m), l_hi + 1)
-        ]
-        worker = _arith_row
+        )
         columns = _ARITH_COLUMNS
     else:  # "generic": argparse admits no other family
         l_lo, l_hi = args.l if args.l else (4, 8)
         prime = _prime(args)
-        tasks = [(ell, args.trials, prime, args.seed) for ell in range(l_lo, l_hi + 1)]
-        worker = _generic_row
+        rows = (_generic_row(ell, args.trials, prime, args.seed) for ell in range(l_lo, l_hi + 1))
         columns = _GENERIC_COLUMNS
 
-    # an unwritable --out fails here, before the first row is computed
+    # an unwritable --out fails here, before the first row; a failing row writes nothing
     with _open_out(args.out) as fh:
-        rows = [worker(task) for task in tasks]
+        rows = list(rows)
         if args.format == "json":
             payload = {
                 "toolkit_version": cuspsemi.__version__,

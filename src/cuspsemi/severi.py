@@ -32,16 +32,15 @@ from cuspsemi.supersym import (
 class CodimReport:
     """Excess-dimension verdict for one profile.
 
-    ``excess`` is codim < nodal_codim.  ``checks`` maps the name of each
-    sufficient inequality the verdict was tested against to whether it holds:
-    ``rhobound1`` and ``f-polynomial`` for the supersymmetric cusp,
-    ``rhobound2`` for the generic one.
+    ``excess`` is codim < genus: in P^3 the nodal codimension (n - 2) * genus
+    is the genus.  ``checks`` maps the name of each sufficient inequality the
+    verdict was tested against to whether it holds: ``rhobound1`` and
+    ``f-polynomial`` for the supersymmetric cusp, ``rhobound2`` for the generic
+    one.
     """
 
-    profile: tuple[int, ...]
     genus: int
     codim: int
-    nodal_codim: int
     excess: bool
     checks: dict[str, bool]
 
@@ -76,18 +75,11 @@ def excess_supersym(a: int, b: int, c: int) -> CodimReport:
     g = genus_formula(a, b, c)
     r = rho(a, b, c)
     codim = 2 * r + sum(profile) - 7
-    nodal = g  # (n - 2) * g for curves in P^3
     # rhobound1: rho < abc/2 - 3(ab+ac+bc)/4 + 15/4, compared times 4
     rhobound1 = 4 * r < 2 * a * b * c - 3 * sum(profile) + 15
     fpoly_nonneg = _bound_polynomial_12(a, b, c) >= 0
-    return CodimReport(
-        profile=profile,
-        genus=g,
-        codim=codim,
-        nodal_codim=nodal,
-        excess=codim < nodal,
-        checks={"rhobound1": rhobound1, "f-polynomial": fpoly_nonneg},
-    )
+    checks = {"rhobound1": rhobound1, "f-polynomial": fpoly_nonneg}
+    return CodimReport(genus=g, codim=codim, excess=codim < g, checks=checks)
 
 
 def excess_generic_supersym(a: int, b: int, c: int, empirical_genus: int | None = None) -> CodimReport:
@@ -105,11 +97,4 @@ def excess_generic_supersym(a: int, b: int, c: int, empirical_genus: int | None 
     codim = generic_codim(profile)
     # rhobound2: members below abc < abc - (ab+ac+bc) + 7
     rhobound2 = members_below < abc - sum(profile) + 7
-    return CodimReport(
-        profile=profile,
-        genus=g,
-        codim=codim,
-        nodal_codim=g,
-        excess=codim < g,
-        checks={"rhobound2": rhobound2},
-    )
+    return CodimReport(genus=g, codim=codim, excess=codim < g, checks={"rhobound2": rhobound2})

@@ -7,8 +7,9 @@ The count rho of gaps above abc is computed along two independent routes (a
 sieve member count and a floor-sum count of the lattice points with ab*x +
 ac*y + bc*z <= abc - (ab + ac + bc)) that must agree.  Every public function
 takes the plain integers a, b, c and checks them with :func:`pairwise_products`.
-Everything is exact; Fractions are only the values of the Yau-Zhang bounds.  A
-guarded result that fails its own check raises :class:`MethodMismatchError`,
+Everything is exact and nothing is random (Monte Carlo lives in
+:mod:`cuspsemi.series`); Fractions are only the values of the Yau-Zhang bounds.
+A guarded result that fails its own check raises :class:`MethodMismatchError`,
 which ``python -O`` keeps.
 """
 
@@ -16,10 +17,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from typing import Iterator, NamedTuple
+from typing import Iterator
 
 from cuspsemi.semigroup import NumericalSemigroup
-from cuspsemi.series import DEFAULT_PRIME, capture_conductors
 
 
 class MethodMismatchError(RuntimeError):
@@ -219,28 +219,16 @@ def abc_all_factorizations(a: int, b: int, c: int, n: int) -> tuple[tuple[int, i
     return tuple(sorted(out))
 
 
-class ResidueTriple(NamedTuple):
-    """Inverses alpha_hat = (bc)^-1 mod a, beta_hat = (ac)^-1 mod b, gamma_hat = (ab)^-1 mod c."""
-
-    alpha_hat: int
-    beta_hat: int
-    gamma_hat: int
-
-
-def residue_triple(a: int, b: int, c: int) -> ResidueTriple:
-    """The canonical inverse triple; each component lies in [1, modulus - 1]."""
+def residue_triple(a: int, b: int, c: int) -> tuple[int, int, int]:
+    """(alpha_hat, beta_hat, gamma_hat): (bc)^-1 mod a, (ac)^-1 mod b, (ab)^-1 mod c, each >= 1."""
     ab, ac, bc = pairwise_products(a, b, c)
-    return ResidueTriple(
-        alpha_hat=pow(bc, -1, a),
-        beta_hat=pow(ac, -1, b),
-        gamma_hat=pow(ab, -1, c),
-    )
+    return (pow(bc, -1, a), pow(ac, -1, b), pow(ab, -1, c))
 
 
 def min_congruent_one(a: int, b: int, c: int) -> int:
     """Least member of <ab, ac, bc> congruent to 1 mod abc; always abc+1 or 2abc+1."""
-    r = residue_triple(a, b, c)
-    value = r.gamma_hat * a * b + r.beta_hat * a * c + r.alpha_hat * b * c
+    alpha_hat, beta_hat, gamma_hat = residue_triple(a, b, c)
+    value = gamma_hat * a * b + beta_hat * a * c + alpha_hat * b * c
     abc = a * b * c
     if value not in (abc + 1, 2 * abc + 1):
         raise MethodMismatchError(
@@ -265,24 +253,13 @@ def s_prime_invariants(a: int, b: int, c: int) -> tuple[int, int]:
     """Closed-form (genus, Frobenius number) of the extension by abc + 1."""
     if abc_plus_one_is_member(a, b, c):
         raise NotApplicableError(f"abc + 1 is already a member for ({a},{b},{c})")
-    r = residue_triple(a, b, c)
+    alpha_hat, beta_hat, gamma_hat = residue_triple(a, b, c)
     ab, ac, bc = a * b, a * c, b * c
-    genus = genus_formula(a, b, c) - (a - r.alpha_hat) * (b - r.beta_hat) * (c - r.gamma_hat)
+    genus = genus_formula(a, b, c) - (a - alpha_hat) * (b - beta_hat) * (c - gamma_hat)
     frobenius = max(
-        (r.gamma_hat - 1) * ab + (b - 1) * ac - bc,
-        (c - 1) * ab + (r.beta_hat - 1) * ac - bc,
-        (c - 1) * ab + (b - 1) * ac + (r.alpha_hat - a - 1) * bc,
+        (gamma_hat - 1) * ab + (b - 1) * ac - bc,
+        (c - 1) * ab + (beta_hat - 1) * ac - bc,
+        (c - 1) * ab + (b - 1) * ac + (alpha_hat - a - 1) * bc,
     )
     return genus, frobenius
 
-
-def generic_contains_abc_plus(
-    a: int, b: int, c: int, prime: int = DEFAULT_PRIME, seed: int = 0
-) -> tuple[bool, bool]:
-    """Whether a generic cusp with profile (ab, ac, bc) achieves abc+1 and abc+2.
-
-    One seeded Monte-Carlo run of :func:`cuspsemi.series.capture_conductors`.
-    """
-    [s] = capture_conductors(pairwise_products(a, b, c), (seed,), prime)
-    abc = a * b * c
-    return (s.contains(abc + 1), s.contains(abc + 2))

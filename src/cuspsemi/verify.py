@@ -217,16 +217,24 @@ def check_excess_generic(max_abc: int = 4000) -> CheckResult:
 @_theorem("sprime", "genus/frobenius closed forms for the extension by abc + 1")
 def check_sprime(max_abc: int = 5000) -> CheckResult:
     """Genus and Frobenius closed forms for the extension by abc + 1 match the sieve."""
-    def probe(t: tuple[int, int, int]) -> tuple[bool, bool]:
-        s = supersym.s_prime(*t)
+    # the triples where abc + 1 is a gap, each with its extension
+    def extensions() -> Iterator[tuple]:
+        for t in triples:
+            try:
+                s = supersym.s_prime(*t)
+            except supersym.NotApplicableError:
+                continue
+            yield *t, s
+
+    def probe(x: tuple) -> tuple[bool, bool]:
+        *t, s = x
         genus, frobenius = supersym.s_prime_invariants(*t)
         return genus == s.genus, frobenius == s.frobenius
 
     result = CheckResult("sprime")
     labels = ("extension genus formula = sieve", "extension frobenius formula = sieve")
     triples = list(supersym.coprime_triples(max_abc))
-    applicable = (t for t in triples if not supersym.abc_plus_one_is_member(*t))
-    gaps = _sweep(result, labels, applicable, probe)
+    gaps = _sweep(result, labels, extensions(), probe)
     result.findings.append(f"{gaps} of {len(triples)} triples have abc + 1 as a gap")
     for triple, expected in (((3, 4, 5), (35, 58)), ((4, 5, 7), (96, 177))):
         got = supersym.s_prime_invariants(*triple)
@@ -498,15 +506,14 @@ def check_supersym_generic_contains(
 ) -> CheckResult:
     """Generic cusps with supersymmetric profiles achieve abc + 1 and abc + 2."""
     result = CheckResult("supersym-generic-contains")
+    seeds = range(base_seed, base_seed + trials)
     for triple in ((3, 4, 5), (2, 3, 5)):
-        for offset in range(trials):
-            got = supersym.generic_contains_abc_plus(
-                *triple, prime=prime, seed=base_seed + offset
-            )
+        abc = triple[0] * triple[1] * triple[2]
+        found = series.capture_conductors(supersym.pairwise_products(*triple), seeds, prime)
+        for seed, s in zip(seeds, found, strict=True):
+            got = (s.contains(abc + 1), s.contains(abc + 2))
             result.row(
-                f"{triple} seed {base_seed + offset} achieves abc+1, abc+2",
-                got == (True, True),
-                f"got {got}",
+                f"{triple} seed {seed} achieves abc+1, abc+2", got == (True, True), f"got {got}"
             )
     return result
 

@@ -30,10 +30,19 @@ def test_m2_branch_requires_m_equal_two():
 
 
 def test_small_ell_warns():
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        arith.approximation_generators(4, 6)
-    assert any("ell" in str(w.message) for w in caught)
+    # every entry point's warning names the line that called it, not one in arith.py
+    entries = (
+        arith.approximation_generators,
+        arith.approximating_semigroup,
+        arith.apery_predictions,
+        arith.genus_upper,
+    )
+    for entry in entries:
+        with warnings.catch_warnings(record=True) as record:
+            warnings.simplefilter("always")
+            entry(4, 6)
+        assert any("ell" in str(w.message) for w in record), entry.__name__
+        assert record[0].filename == __file__, entry.__name__
 
 
 @pytest.mark.parametrize("ell", range(4, 41))

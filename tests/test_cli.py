@@ -319,6 +319,38 @@ def test_sweep_supersym_csv(capsys):
     assert keys == sorted(keys)
 
 
+def test_supersym_sweep_nodal_codim_is_the_genus(capsys):
+    # (n - 2) * genus in P^3
+    code, out, _ = run_cli(capsys, "sweep", "--family", "supersym", "--max-abc", "2000", "--format", "json")
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    assert rows and all(row["nodal_codim"] == row["genus"] for row in rows)
+
+
+def test_sweep_failures_keep_their_order(capsys, monkeypatch, tmp_path):
+    target = tmp_path / "rows.csv"
+    # a bad --min-a fails before --out is opened
+    code, _, err = run_cli(capsys, "sweep", "--family", "supersym", "--min-a", "1", "--out", str(target))
+    assert code == 2 and "min_a must be at least 2" in err
+    assert not target.exists()
+
+    # every row is computed before any output, so a failing second row writes nothing
+    rows = []
+    original = cli._supersym_row
+
+    def second_row_fails(a, b, c):
+        rows.append((a, b, c))
+        if len(rows) == 2:
+            raise ArithmeticError("row failed")
+        return original(a, b, c)
+
+    monkeypatch.setattr(cli, "_supersym_row", second_row_fails)
+    code, out, err = run_cli(capsys, "sweep", "--family", "supersym", "--max-abc", "200", "--out", str(target))
+    assert (code, out, err) == (3, "", "error: row failed\n")
+    assert rows == [(2, 3, 5), (2, 3, 7)]
+    assert target.read_text() == ""
+
+
 def test_sweep_deterministic(capsys):
     args = ("sweep", "--family", "supersym", "--max-abc", "400")
     _, out1, _ = run_cli(capsys, *args)

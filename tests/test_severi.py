@@ -46,7 +46,6 @@ def test_excess_supersym_reports():
     rep = severi.excess_supersym(4, 5, 9)
     assert rep.genus == 130
     assert rep.codim == 114
-    assert rep.nodal_codim == 130
     assert rep.excess
     assert rep.checks["rhobound1"] is True
 
@@ -54,7 +53,7 @@ def test_excess_supersym_reports():
     assert (rep2.codim, rep2.genus, rep2.excess) == (152, 189, True)
 
     rep3 = severi.excess_supersym(5, 6, 7)
-    assert (rep3.codim, rep3.nodal_codim) == (128, 157)
+    assert (rep3.codim, rep3.genus) == (128, 157)
 
 
 def test_excess_boundary_case():

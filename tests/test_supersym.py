@@ -1,6 +1,9 @@
+import ast
+import importlib.util
 import os
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -248,8 +251,8 @@ def test_unique_factorization_below_abc():
 
 
 def test_residue_triples():
-    assert tuple(supersym.residue_triple(3, 5, 7)) == (2, 1, 1)
-    assert tuple(supersym.residue_triple(3, 4, 5)) == (2, 3, 3)
+    assert supersym.residue_triple(3, 5, 7) == (2, 1, 1)
+    assert supersym.residue_triple(3, 4, 5) == (2, 3, 3)
 
 
 def test_min_congruent_one():
@@ -263,7 +266,7 @@ def test_min_congruent_one():
 
 
 def test_min_congruent_one_raises_on_wrong_residue_triple(monkeypatch):
-    monkeypatch.setattr(supersym, "residue_triple", lambda a, b, c: supersym.ResidueTriple(1, 1, 1))
+    monkeypatch.setattr(supersym, "residue_triple", lambda a, b, c: (1, 1, 1))
     with pytest.raises(MethodMismatchError, match="neither abc \\+ 1 nor 2abc \\+ 1"):
         supersym.min_congruent_one(3, 4, 5)
 
@@ -294,8 +297,26 @@ def test_s_prime_not_applicable_when_abc_plus_one_inside():
 
 
 def test_generic_contains_abc_plus():
-    one, two = supersym.generic_contains_abc_plus(2, 3, 5, seed=0)
-    assert one and two
+    result = verify.check_supersym_generic_contains(trials=1)
+    assert [(row.label, row.detail) for row in result.rows] == [
+        ("(3, 4, 5) seed 0 achieves abc+1, abc+2", "got (True, True)"),
+        ("(2, 3, 5) seed 0 achieves abc+1, abc+2", "got (True, True)"),
+    ]
+    assert result.passed
+
+
+def test_supersym_imports_nothing_from_series():
+    # Monte Carlo stays in series; supersym is the exact closed forms only
+    tree = ast.parse(Path(supersym.__file__).read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            module = importlib.util.resolve_name("." * node.level + (node.module or ""), "cuspsemi")
+            imported.add(module)
+            imported.update(f"{module}.{alias.name}" for alias in node.names)
+    assert "cuspsemi.series" not in imported
 
 
 def test_monte_carlo_drivers_share_one_horizon_limit(monkeypatch):
@@ -311,7 +332,7 @@ def test_monte_carlo_drivers_share_one_horizon_limit(monkeypatch):
     generic_attempts = len(attempts)
     attempts.clear()
     with pytest.raises(series.PrecisionTooSmallError):
-        supersym.generic_contains_abc_plus(3, 4, 5)
+        verify.check_supersym_generic_contains(trials=1)
     assert generic_attempts == len(attempts) == 9
     assert attempts == [attempts[0] * 2**k for k in range(9)]
 
@@ -320,7 +341,7 @@ def test_monte_carlo_drivers_share_one_horizon_limit(monkeypatch):
     "driver, achieved_below, conductor",
     [
         (lambda: series.empirical_generic_semigroup((4, 6)), (0, 4, 6, 7), 9),
-        (lambda: supersym.generic_contains_abc_plus(2, 3, 5), (0, 6, 10, 11), 13),
+        (lambda: verify.check_supersym_generic_contains(trials=1), (0, 6, 10, 11), 13),
     ],
     ids=["empirical_generic_semigroup", "generic_contains_abc_plus"],
 )

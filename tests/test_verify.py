@@ -312,3 +312,25 @@ def test_sprime_enumerates_the_triples_once(monkeypatch):
     res = verify.check_sprime(max_abc=1200)
     assert len(calls) == 1
     assert res.findings == ["268 of 538 triples have abc + 1 as a gap"]
+
+
+def test_sprime_asks_membership_once_per_triple(monkeypatch):
+    # once in s_prime for each triple, once more in s_prime_invariants where
+    # abc + 1 is a gap, and once for each of the two spot rows
+    asked = _count_calls(monkeypatch, supersym, "abc_plus_one_is_member")
+    res = verify.check_sprime()
+    assert res.passed
+    assert res.findings == ["1987 of 3949 triples have abc + 1 as a gap"]
+    assert len(asked) == 3949 + 1987 + 2
+
+
+def test_supersym_generic_contains_draws_each_triple_once(monkeypatch):
+    starts = _count_calls(monkeypatch, series, "start_precision")
+    res = verify.check_supersym_generic_contains(base_seed=5, trials=4)
+    assert res.passed
+    assert [row.label for row in res.rows] == [
+        f"{triple} seed {seed} achieves abc+1, abc+2"
+        for triple in ((3, 4, 5), (2, 3, 5))
+        for seed in range(5, 9)
+    ]
+    assert len(starts) == 2  # one horizon search per triple, shared by its seeds
