@@ -31,13 +31,11 @@ def _parse_ints(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
 
 
-def _parse_range(text: str) -> tuple[int, int]:
+def _parse_range(text: str) -> range:
+    """``LO..HI`` as ``range(LO, HI + 1)``, ``N`` as ``range(N, N + 1)``."""
     try:
-        if ".." in text:
-            lo, hi = text.split("..")
-            return (int(lo), int(hi))
-        value = int(text)
-        return (value, value)
+        lo, hi = text.split("..") if ".." in text else (text, text)
+        return range(int(lo), int(hi) + 1)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected N or LO..HI, got {text!r}")
 
@@ -73,7 +71,9 @@ def _emit_json(payload: dict, out: str | None) -> None:
 
 def cmd_info(args: argparse.Namespace) -> int:
     s = NumericalSemigroup(args.gens)
-    betti_bound = args.betti_bound if args.betti_bound is not None else s.conductor + max(s.generators)
+    # a Betti element b has a factorization component without n1 but with some
+    # n_i, so b - n_i lies in the Apery set of n1
+    betti_bound = args.betti_bound if args.betti_bound is not None else max(s.apery()) + s.generators[-1]
     payload = {
         "toolkit_version": cuspsemi.__version__,
         "generators": list(s.generators),
@@ -112,26 +112,13 @@ def cmd_generic(args: argparse.Namespace) -> int:
 
 
 def _verify_kwargs(func: object, args: argparse.Namespace) -> dict:
-    available = {
-        "max_abc": args.max_abc,
-        "l_lo": args.l[0] if args.l else None,
-        "l_hi": args.l[1] if args.l else None,
-        "m_lo": args.m[0] if args.m else None,
-        "m_hi": args.m[1] if args.m else None,
-        "l_max": args.l_max,
-        "trials": args.trials,
-        "base_seed": args.seed,
-        "seed": args.seed,
-        "instances": args.instances,
-        "samples": args.samples,
-        "eps": args.eps,
-    }
+    """The flags the user passed, by the checker's own parameter names; ``prime`` always."""
     kwargs = {}
     for name in inspect.signature(func).parameters:  # type: ignore[arg-type]
         if name == "prime":
             kwargs[name] = _prime(args)
-        elif available.get(name) is not None:
-            kwargs[name] = available[name]
+        elif (value := getattr(args, name)) is not None:
+            kwargs[name] = value
     return kwargs
 
 
@@ -249,18 +236,15 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         rows = (_supersym_row(*t) for t in triples)
         columns = _SUPERSYM_COLUMNS
     elif args.family == "arith":
-        m_lo, m_hi = args.m if args.m else (2, 4)
-        l_lo, l_hi = args.l if args.l else (4, 12)
-        rows = (
-            _arith_row(m, ell)
-            for m in range(m_lo, m_hi + 1)
-            for ell in range(max(l_lo, 2 * m), l_hi + 1)
-        )
+        # "is None", not "or": an empty range such as --m 5..2 is falsy but given
+        ms = range(2, 5) if args.m is None else args.m
+        ells = range(4, 13) if args.l is None else args.l
+        rows = (_arith_row(m, ell) for m in ms for ell in ells if ell >= 2 * m)
         columns = _ARITH_COLUMNS
     else:  # "generic": argparse admits no other family
-        l_lo, l_hi = args.l if args.l else (4, 8)
+        ells = range(4, 9) if args.l is None else args.l
         prime = _prime(args)
-        rows = (_generic_row(ell, args.trials, prime, args.seed) for ell in range(l_lo, l_hi + 1))
+        rows = (_generic_row(ell, args.trials, prime, args.seed) for ell in ells)
         columns = _GENERIC_COLUMNS
 
     # an unwritable --out fails here, before the first row; a failing row writes nothing
@@ -310,7 +294,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--max-abc", type=int, default=None)
     p_ver.add_argument("--l", type=_parse_range, default=None, help="LO..HI")
     p_ver.add_argument("--m", type=_parse_range, default=None, help="LO..HI")
-    p_ver.add_argument("--l-max", type=int, default=None)
     p_ver.add_argument("--trials", type=int, default=None)
     p_ver.add_argument("--seed", type=int, default=None)
     p_ver.add_argument("--prime", type=int, default=None)

@@ -96,11 +96,10 @@ def _sweep(result: CheckResult, labels: Sequence[str], instances: Iterable, prob
     return total
 
 
-def _profiles(parity: str, m_lo: int, m_hi: int, l_max: int) -> Iterator[tuple[int, int]]:
-    """The (m, ell) with m_lo <= m <= m_hi and 2m <= ell <= l_max, ell of the given parity."""
-    for m in range(m_lo, m_hi + 1):
-        for ell in range(2 * m + (parity == "odd"), l_max + 1, 2):
-            yield m, ell
+def _profiles(parity: str, ms: range, ells: range) -> Iterator[tuple[int, int]]:
+    """The (m, ell) in ms x ells with ell >= 2m and ell of the given parity, m outer."""
+    odd = parity == "odd"
+    return ((m, ell) for m in ms for ell in ells if ell >= 2 * m and ell % 2 == odd)
 
 
 @_theorem("supersym-invariants", "frobenius/genus closed forms and symmetry of <ab, ac, bc>")
@@ -308,7 +307,7 @@ def check_betti_supersym(max_abc: int = 600) -> CheckResult:
 
 
 @_theorem("m2-gaps", "closed-form gap set of the m = 2 approximating semigroup")
-def check_m2_gaps(l_lo: int = 4, l_hi: int = 16) -> CheckResult:
+def check_m2_gaps(l: range = range(4, 17)) -> CheckResult:
     """The closed-form gap set matches the sieve for the m = 2 approximating semigroup."""
     def probe(ell: int) -> tuple[bool, bool]:
         formula = arith.gap_set_m2(ell)
@@ -318,12 +317,12 @@ def check_m2_gaps(l_lo: int = 4, l_hi: int = 16) -> CheckResult:
 
     result = CheckResult("m2-gaps")
     labels = ("gap set = sieve gaps", "cardinality ceil(l^2/2) + 2l")
-    _sweep(result, labels, range(l_lo, l_hi + 1), probe, name="ell={}".format)
+    _sweep(result, labels, l, probe, name="ell={}".format)
     return result
 
 
 @_theorem("arith-genus-upper", "genus closed form of the approximating semigroup")
-def check_arith_genus_upper(m_lo: int = 2, m_hi: int = 4, l_max: int = 20) -> CheckResult:
+def check_arith_genus_upper(m: range = range(2, 5), l: range = range(4, 21)) -> CheckResult:
     """Genus closed form matches the sieve for even ell; odd ell is adjudicated."""
     bad_gs: list[str] = []
     stated_matches = 0
@@ -342,7 +341,7 @@ def check_arith_genus_upper(m_lo: int = 2, m_hi: int = 4, l_max: int = 20) -> Ch
         return (s.genus == bound.proof_derived,)
 
     result = CheckResult("arith-genus-upper")
-    evens, odds = _profiles("even", m_lo, m_hi, l_max), _profiles("odd", m_lo, m_hi, l_max)
+    evens, odds = _profiles("even", m, l), _profiles("odd", m, l)
     total_even = _sweep(result, ("even ell: formula = sieve genus",), evens, probe, _profile_tag)
     total_odd = _sweep(result, ("odd ell: derived value = sieve genus",), odds, probe, _profile_tag)
     _sweep_row(result, "apery gap identity", bad_gs, total_even + total_odd)
@@ -353,9 +352,9 @@ def check_arith_genus_upper(m_lo: int = 2, m_hi: int = 4, l_max: int = 20) -> Ch
     return result
 
 
-def _check_apery(parity: str, m_lo: int, m_hi: int, l_max: int) -> CheckResult:
+def _check_apery(parity: str, ms: range, ells: range) -> CheckResult:
     result = CheckResult(f"apery-{parity}")
-    profiles = list(_profiles(parity, m_lo, m_hi, l_max))
+    profiles = list(_profiles(parity, ms, ells))
     uncovered_total = 0
 
     def classes() -> Iterator[tuple]:
@@ -386,19 +385,19 @@ def _check_apery(parity: str, m_lo: int, m_hi: int, l_max: int) -> CheckResult:
 
 
 @_theorem("apery-even", "Apery formula families, even ell")
-def check_apery_even(m_lo: int = 2, m_hi: int = 4, l_max: int = 20) -> CheckResult:
+def check_apery_even(m: range = range(2, 5), l: range = range(4, 21)) -> CheckResult:
     """Even-ell Apery formula families agree with the direct table where they apply."""
-    return _check_apery("even", m_lo, m_hi, l_max)
+    return _check_apery("even", m, l)
 
 
 @_theorem("apery-odd", "Apery formula families, odd ell")
-def check_apery_odd(m_lo: int = 2, m_hi: int = 4, l_max: int = 21) -> CheckResult:
+def check_apery_odd(m: range = range(2, 5), l: range = range(4, 22)) -> CheckResult:
     """Odd-ell Apery formula families agree with the direct table where they apply."""
-    return _check_apery("odd", m_lo, m_hi, l_max)
+    return _check_apery("odd", m, l)
 
 
 @_theorem("apery-product-lemma", "product form of the four-generator Apery set (even ell)")
-def check_apery_product_lemma(m_lo: int = 2, m_hi: int = 4, l_max: int = 16) -> CheckResult:
+def check_apery_product_lemma(m: range = range(2, 5), l: range = range(4, 17)) -> CheckResult:
     """Apery set of <ml, ml+m, ml+2m, 2m(l+1)+1> is the stated product set (even ell)."""
     def probe(profile: tuple[int, int]) -> tuple[bool]:
         m, ell = profile
@@ -413,8 +412,7 @@ def check_apery_product_lemma(m_lo: int = 2, m_hi: int = 4, l_max: int = 16) -> 
         return (product == set(t.apery()),)
 
     result = CheckResult("apery-product-lemma")
-    profiles = _profiles("even", m_lo, m_hi, l_max)
-    _sweep(result, ("apery set = product set",), profiles, probe, _profile_tag)
+    _sweep(result, ("apery set = product set",), _profiles("even", m, l), probe, _profile_tag)
     return result
 
 
@@ -443,11 +441,7 @@ def check_valuation_lemma(instances: int = 200, seed: int = 0) -> CheckResult:
 
 @_theorem("generic-montecarlo", "Monte-Carlo value semigroups of (2l, 2l+2, 2l+4) profiles")
 def check_generic_montecarlo(
-    l_lo: int = 4,
-    l_hi: int = 10,
-    trials: int = 3,
-    prime: int = series.DEFAULT_PRIME,
-    base_seed: int = 0,
+    l: range = range(4, 11), trials: int = 3, prime: int = series.DEFAULT_PRIME, seed: int = 0
 ) -> CheckResult:
     """Monte-Carlo sweep for profiles (2l, 2l+2, 2l+4): agreement, containment, bounds.
 
@@ -458,7 +452,7 @@ def check_generic_montecarlo(
     """
     def probe(ell: int) -> tuple[bool | list[str], ...]:
         orders = arith.profile_orders(2, ell)
-        emp = series.empirical_generic_semigroup(orders, trials, prime, base_seed)
+        emp = series.empirical_generic_semigroup(orders, trials, prime, seed)
 
         # emp is additively closed, so it contains a semigroup when it contains its generators
         bad_contain = []
@@ -496,24 +490,24 @@ def check_generic_montecarlo(
         "lower <= genus <= upper", "forbidden windows avoid achieved values",
         "window gap counts", "profile monoid contained",
     )
-    _sweep(result, labels, range(l_lo, l_hi + 1), probe, name="ell={}".format)
+    _sweep(result, labels, l, probe, name="ell={}".format)
     return result
 
 
 @_theorem("supersym-generic-contains", "generic supersymmetric cusps achieve abc + 1 and abc + 2")
 def check_supersym_generic_contains(
-    prime: int = series.DEFAULT_PRIME, base_seed: int = 0, trials: int = 3
+    prime: int = series.DEFAULT_PRIME, seed: int = 0, trials: int = 3
 ) -> CheckResult:
     """Generic cusps with supersymmetric profiles achieve abc + 1 and abc + 2."""
     result = CheckResult("supersym-generic-contains")
-    seeds = range(base_seed, base_seed + trials)
+    seeds = range(seed, seed + trials)
     for triple in ((3, 4, 5), (2, 3, 5)):
         abc = triple[0] * triple[1] * triple[2]
         found = series.capture_conductors(supersym.pairwise_products(*triple), seeds, prime)
-        for seed, s in zip(seeds, found, strict=True):
+        for drawn, s in zip(seeds, found, strict=True):
             got = (s.contains(abc + 1), s.contains(abc + 2))
             result.row(
-                f"{triple} seed {seed} achieves abc+1, abc+2", got == (True, True), f"got {got}"
+                f"{triple} seed {drawn} achieves abc+1, abc+2", got == (True, True), f"got {got}"
             )
     return result
 

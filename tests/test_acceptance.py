@@ -68,8 +68,8 @@ def test_acceptance_5_extension_formulas():
 def test_acceptance_6_arithmetic_approximations():
     with _verdict(6, "arithmetic approximations"):
         t0 = time.perf_counter()
-        gaps = verify.check_m2_gaps(l_lo=4, l_hi=16)
-        genus = verify.check_arith_genus_upper(m_lo=2, m_hi=4, l_max=20)
+        gaps = verify.check_m2_gaps(l=range(4, 17))
+        genus = verify.check_arith_genus_upper(m=range(2, 5), l=range(4, 21))
         elapsed = time.perf_counter() - t0
         _assert_passed(gaps)
         _assert_passed(genus)
@@ -79,7 +79,7 @@ def test_acceptance_6_arithmetic_approximations():
 def test_acceptance_7_generic_monte_carlo():
     with _verdict(7, "generic-semigroup Monte Carlo"):
         t0 = time.perf_counter()
-        montecarlo = verify.check_generic_montecarlo(l_lo=4, l_hi=10)
+        montecarlo = verify.check_generic_montecarlo(l=range(4, 11))
         contains = verify.check_supersym_generic_contains()
         elapsed = time.perf_counter() - t0
         _assert_passed(montecarlo)

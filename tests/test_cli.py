@@ -24,7 +24,22 @@ def test_info_json(capsys):
     assert payload["genus"] == 15
     assert payload["symmetric"] is True
     assert payload["apery"] == [0, 25, 20, 15, 10, 35]
+    assert payload["betti_bound"] == 50
     assert payload["betti_up_to"] == [30]
+
+
+@pytest.mark.parametrize(
+    "gens, bound, betti",
+    [("3,5,7", 14, [10, 12, 14]), ("5,7,9", 27, [14, 25, 27])],
+)
+def test_info_default_betti_bound_reaches_every_betti_element(capsys, gens, bound, betti):
+    # max(Apery set of n1) + largest generator bounds every Betti element; the
+    # conductor plus the largest generator (12 and 23 here) misses 14, 25 and 27
+    code, out, _ = run_cli(capsys, "info", "--gens", gens)
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["betti_bound"] == bound
+    assert payload["betti_up_to"] == betti
 
 
 def test_info_whole_line_has_null_symmetry(capsys):
@@ -274,28 +289,61 @@ def test_verify_flag_passthrough(capsys):
 
 
 def test_verify_flags_reach_every_checker_parameter():
-    # every verify flag set to its own value; a renamed checker parameter
-    # would either lose its value or leave a flag that reaches no checker
-    values = {
-        "max_abc": 101, "l": (102, 103), "m": (104, 105), "l_max": 106, "trials": 107,
-        "seed": 108, "prime": 109, "instances": 110, "samples": 111, "eps": 0.25,
+    # every verify flag set to its own value; a flag is the checker parameter
+    # of the same name, so a renamed parameter loses its flag here
+    argv = [
+        "verify", "supersym-invariants", "--max-abc", "101", "--l", "102..103", "--m", "104",
+        "--trials", "107", "--seed", "108", "--prime", "109", "--instances", "110",
+        "--samples", "111", "--eps", "0.25",
+    ]
+    parsed = {
+        "max_abc": 101, "l": range(102, 104), "m": range(104, 105), "trials": 107, "seed": 108,
+        "prime": 109, "instances": 110, "samples": 111, "eps": 0.25,
     }
-    argv = ["verify", "supersym-invariants"]
-    for dest, value in values.items():
-        text = "..".join(map(str, value)) if isinstance(value, tuple) else str(value)
-        argv += [f"--{dest.replace('_', '-')}", text]
     parser = cli.build_parser()
     args = parser.parse_args(argv)
     defaults = vars(parser.parse_args(["verify"]))
     flags = {dest for dest in defaults if dest not in ("command", "func", "theorem", "list_theorems")}
-    assert flags == set(values)
-    reached = set()
+    params = {
+        name: list(inspect.signature(func).parameters) for name, (_, func) in verify.THEOREMS.items()
+    }
+    assert flags == set(parsed) == set().union(*params.values())
     for name, (_, func) in verify.THEOREMS.items():
-        kwargs = cli._verify_kwargs(func, args)
-        assert set(kwargs) == set(inspect.signature(func).parameters), name
-        reached.update(kwargs.values())
-    for dest, value in values.items():
-        assert set(value if isinstance(value, tuple) else (value,)) <= reached, dest
+        assert cli._verify_kwargs(func, args) == {p: parsed[p] for p in params[name]}, name
+
+
+@pytest.mark.parametrize("text, parsed", [("4..9", range(4, 10)), ("7", range(7, 8)), ("9..4", range(9, 5))])
+def test_range_flag_is_a_range(text, parsed):
+    assert cli.build_parser().parse_args(["verify", "--l", text]).l == parsed
+
+
+@pytest.mark.parametrize("text", ["4..", "..5", "1..2..3", "a..b"])
+@pytest.mark.parametrize("command", [("verify", "m2-gaps", "--l"), ("sweep", "--family", "arith", "--m")])
+def test_malformed_range_is_a_usage_error(capsys, command, text):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*command, text])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"expected N or LO..HI, got '{text}'" in captured.err
+
+
+@pytest.mark.parametrize("flag, text", [("--m", "5..2"), ("--l", "12..4")])
+def test_arith_sweep_over_an_empty_range_has_no_rows(capsys, flag, text):
+    # an empty range is given, not absent: the default ranges do not replace it
+    code, out, _ = run_cli(capsys, "sweep", "--family", "arith", flag, text)
+    assert code == 0
+    lines = out.splitlines()
+    assert len(lines) == 2
+    assert lines[0].startswith("# cuspsemi ") and lines[1].startswith("m,l,genus,")
+
+
+def test_verify_has_no_l_max_flag(capsys):
+    # the top of the l range is --l LO..HI
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "apery-even", "--l-max", "12"])
+    assert exc.value.code == 2
+    assert "--l-max" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("eps", ["nan", "inf", "-inf"])

@@ -50,7 +50,7 @@ def test_small_sweep_checkers_pass():
     assert verify.check_supersym_invariants(max_abc=400).passed
     assert verify.check_rho_simplex(max_abc=400).passed
     assert verify.check_min_congruent_one(max_abc=400).passed
-    assert verify.check_m2_gaps(l_lo=4, l_hi=8).passed
+    assert verify.check_m2_gaps(l=range(4, 9)).passed
 
 
 def test_factorization_checkers_default_bounds():
@@ -59,9 +59,9 @@ def test_factorization_checkers_default_bounds():
 
 
 def test_apery_checkers():
-    assert verify.check_apery_even(l_max=12).passed
-    assert verify.check_apery_odd(l_max=13).passed
-    assert verify.check_apery_product_lemma(l_max=12).passed
+    assert verify.check_apery_even(l=range(4, 13)).passed
+    assert verify.check_apery_odd(l=range(4, 14)).passed
+    assert verify.check_apery_product_lemma(l=range(4, 13)).passed
 
 
 def test_excess_and_extension_checkers():
@@ -83,7 +83,7 @@ def test_yz_checker_reports_skips():
 
 
 def test_arith_genus_checker_notes_stated_form():
-    res = verify.check_arith_genus_upper(m_lo=2, m_hi=3, l_max=12)
+    res = verify.check_arith_genus_upper(m=range(2, 4), l=range(4, 13))
     assert res.passed
     assert any("stated" in note for note in res.findings)
 
@@ -96,7 +96,7 @@ def test_valuation_checker_is_seeded():
 
 
 def test_generic_montecarlo_checker_small():
-    res = verify.check_generic_montecarlo(l_lo=4, l_hi=6)
+    res = verify.check_generic_montecarlo(l=range(4, 7))
     assert res.passed
     labels = [r.label for r in res.rows]
     assert "three seeds agree" in labels
@@ -159,7 +159,7 @@ def test_montecarlo_row_tags_each_failing_branch(monkeypatch):
             NumericalSemigroup((1,)) if m == 2 else approximating(m, ell, branch)
         ),
     )
-    res = verify.check_generic_montecarlo(l_lo=4, l_hi=5)
+    res = verify.check_generic_montecarlo(l=range(4, 6))
     assert res.rows[1] == CheckRow(
         "approximating semigroup contained",
         False,
@@ -177,7 +177,7 @@ def _fake_montecarlo(monkeypatch, fake):
         return fake(s) if tuple(orders) == (8, 10, 12) else s
 
     monkeypatch.setattr(series, "empirical_generic_semigroup", patched)
-    return verify.check_generic_montecarlo(l_lo=4, l_hi=5)
+    return verify.check_generic_montecarlo(l=range(4, 6))
 
 
 def test_montecarlo_row_tags_forbidden_window_value(monkeypatch):
@@ -229,7 +229,7 @@ def test_apery_row_tags_profile_residue_and_family(monkeypatch):
         return dataclasses.replace(formulas, predictions=tuple(entries))
 
     monkeypatch.setattr(arith, "apery_predictions", shifted)
-    res = verify.check_apery_even(m_lo=2, m_hi=2, l_max=8)
+    res = verify.check_apery_even(m=range(2, 3), l=range(4, 9))
     assert res.rows == [
         CheckRow(
             "formula entries = table entries", False, "failed at (m=2,l=6) residue 4 [nonspecial]"
@@ -326,7 +326,7 @@ def test_sprime_asks_membership_once_per_triple(monkeypatch):
 
 def test_supersym_generic_contains_draws_each_triple_once(monkeypatch):
     starts = _count_calls(monkeypatch, series, "start_precision")
-    res = verify.check_supersym_generic_contains(base_seed=5, trials=4)
+    res = verify.check_supersym_generic_contains(seed=5, trials=4)
     assert res.passed
     assert [row.label for row in res.rows] == [
         f"{triple} seed {seed} achieves abc+1, abc+2"
