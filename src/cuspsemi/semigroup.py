@@ -5,13 +5,14 @@ that contains 0 and has a finite complement (the gaps).  Everything here is exac
 integer arithmetic; membership below the table extent is stored as a bitmask and
 every integer at or above the conductor is a member by construction.
 
-The kernels take logarithmically many big-integer steps, or one step per
-solution.  The sieve ORs in each generator shifted by g, 2g, 4g, ... (each
-shift doubles the multiples of g already present), and the conductor search
-finds a run of r set bits by ANDing with shifts by 1, 2, 4, ... and one last
-shift.  Factorizations recurse over the leading generators and step through
-the last two in one arithmetic progression, so no value is tried that does
-not solve.
+The kernels take logarithmically many big-integer steps, or, at the last
+level of a factorization, one step per solution.  The sieve ORs in each
+generator shifted by g, 2g, 4g, ... (each shift doubles the multiples of g
+already present), and the conductor search finds a run of r set bits by
+ANDing with shifts by 1, 2, 4, ... and one last shift.  Factorizations step
+every coefficient through the one residue class that leaves a remainder
+divisible by the gcd of the generators after it, so every value tried at the
+last two generators is a solution.
 """
 
 from __future__ import annotations
@@ -42,6 +43,23 @@ def _reach(gens: tuple[int, ...], limit: int) -> int:
     return bits
 
 
+def _level_steps(gens: tuple[int, ...]) -> tuple[tuple[int, int, int], ...]:
+    """(e, step, inverse) for each generator but the last, for ``factorizations``.
+
+    For level i with D = gcd(gens[i+1:]), e = gcd(gens[i], D) and step = D / e,
+    ``rem - a * gens[i]`` is divisible by D exactly when
+    a = (rem / e) * inverse mod step, where inverse = (gens[i] / e)^-1 mod step.
+    """
+    rows = []
+    tail = 0
+    for i in range(len(gens) - 1, 0, -1):
+        tail = gcd(tail, gens[i])
+        e = gcd(gens[i - 1], tail)
+        step = tail // e
+        rows.append((e, step, pow(gens[i - 1] // e, -1, step)))
+    return tuple(reversed(rows))
+
+
 def _first_run_start(bits: int, run_length: int) -> int | None:
     """Index of the first run of ``run_length`` consecutive set bits, if any.
 
@@ -66,10 +84,12 @@ class NumericalSemigroup:
     The conductor is detected as the first index starting a run of
     ``min(generators)`` consecutive members: once that many consecutive elements
     are present, adding the multiplicity repeatedly fills in everything beyond.
-    Instances are immutable and safe to share across threads.
+    Instances are immutable and safe to share across threads; the step table of
+    ``factorizations`` is filled on first use, and threads racing to fill it
+    store equal tables.
     """
 
-    __slots__ = ("generators", "conductor", "_bits", "_extent")
+    __slots__ = ("generators", "conductor", "_bits", "_extent", "_steps")
 
     def __init__(self, generators: Iterable[int]) -> None:
         gens = tuple(sorted({int(g) for g in generators}))
@@ -106,6 +126,7 @@ class NumericalSemigroup:
         self.conductor = start
         self._extent = extent
         self._bits = bits & ((1 << extent) - 1)
+        self._steps: tuple[tuple[int, int, int], ...] | None = None
 
     @property
     def multiplicity(self) -> int:
@@ -171,10 +192,12 @@ class NumericalSemigroup:
         """All nonnegative coefficient vectors over the generators summing to ``s``.
 
         Returned in lexicographic order; empty exactly when ``s`` is not a member.
-        The leading generators are enumerated one value at a time.  For the last
-        two, g and h with d = gcd(g, h), a remainder solves a*g + b*h = rem only
-        when d divides it, and then exactly for a = a0 + t*(h/d) with
-        a0 = (rem/d) * (g/d)^-1 mod (h/d), so each step yields one solution.
+        Each level leaves a remainder divisible by D, the gcd of the generators
+        after it, so it steps its coefficient through the one residue class mod
+        D / gcd(g, D) that does so (see ``_level_steps``), in increasing order.
+        At the last two generators every value of that class below rem / g + 1
+        is a solution.  The step table is computed on the first call, because
+        most semigroups built never enumerate.
         """
         if s < 0:
             raise ValueError("element must be nonnegative")
@@ -183,24 +206,25 @@ class NumericalSemigroup:
         if k == 1:
             q, r = divmod(s, gens[0])
             return [(q,)] if r == 0 else []
-        g, h = gens[-2:]
-        d = gcd(g, h)
-        step = h // d
-        g_inv = pow(g // d, -1, step)
+        steps = self._steps
+        if steps is None:
+            steps = self._steps = _level_steps(gens)
+        last = k - 2
+        h = gens[-1]
         out: list[tuple[int, ...]] = []
         vec = [0] * k
 
         def descend(i: int, rem: int) -> None:
-            if i == k - 2:
-                if rem % d:
-                    return
-                for a in range(rem // d * g_inv % step, rem // g + 1, step):
+            c = gens[i]
+            e, step, inv = steps[i]
+            first = rem // e * inv % step
+            if i == last:
+                for a in range(first, rem // c + 1, step):
                     vec[i] = a
-                    vec[i + 1] = (rem - a * g) // h
+                    vec[i + 1] = (rem - a * c) // h
                     out.append(tuple(vec))
                 return
-            c = gens[i]
-            for a in range(rem // c + 1):
+            for a in range(first, rem // c + 1, step):
                 vec[i] = a
                 descend(i + 1, rem - a * c)
 

@@ -3,7 +3,13 @@ from math import gcd
 
 import pytest
 
-from cuspsemi.semigroup import GcdNotOneError, NumericalSemigroup, _first_run_start, _reach
+from cuspsemi.semigroup import (
+    GcdNotOneError,
+    NumericalSemigroup,
+    _first_run_start,
+    _level_steps,
+    _reach,
+)
 
 
 def fixpoint_reach(gens, limit):
@@ -254,10 +260,23 @@ def test_factorizations_match_recursion_on_random_semigroups():
 
 @pytest.mark.parametrize(
     "gens",
-    [(5, 6, 9), (4, 6, 9), (6, 10, 15), (8, 10, 12, 21, 25), (7, 9, 11, 12, 15), (2, 3)],
+    [
+        (5, 6, 9),
+        (4, 6, 9),
+        (6, 10, 15),
+        (8, 10, 12, 21, 25),
+        (7, 9, 11, 12, 15),
+        (2, 3),
+        (12, 20, 30, 45),
+        (30, 42, 70, 105),
+        (15, 21, 35),
+    ],
 )
 def test_factorizations_edge_cases(gens):
-    # last two generators sharing a factor (6, 9), five generators, two generators
+    # last two generators sharing a factor (6, 9), five generators, two generators;
+    # the gcd of the later generators above 1 at two or more levels: (12, 20, 30, 45)
+    # steps by 5, 3, 3, (30, 42, 70, 105) by 7, 5, 3, and the supersymmetric
+    # <15, 21, 35> = (3, 5, 7) by 7, 5
     s = NumericalSemigroup(gens)
     k = len(s.generators)
     assert s.factorizations(0) == [(0,) * k]
@@ -265,6 +284,23 @@ def test_factorizations_edge_cases(gens):
         facs = s.factorizations(x)
         assert facs == recursive_factorizations(s.generators, x)
         assert facs == sorted(facs)
+
+
+def test_level_steps_solve_each_level():
+    # 12 * 3 = 1 mod 5, 20 / 5 = 4 = 1 mod 3, 30 / 15 * 2 = 1 mod 3
+    assert _level_steps((12, 20, 30, 45)) == ((1, 5, 3), (5, 3, 1), (15, 3, 2))
+    assert _level_steps((2, 3)) == ((1, 3, 2),)
+    # coprime later generators leave nothing to solve: step 1 from 0
+    assert _level_steps((3, 5, 7)) == ((1, 1, 0), (1, 7, 3))
+
+
+def test_factorizations_step_table_is_per_instance():
+    # interleaved calls on semigroups whose levels step differently
+    a = NumericalSemigroup((12, 20, 30, 45))
+    b = NumericalSemigroup((7, 9, 11, 12, 15))
+    for x in range(0, 400, 7):
+        for s in (a, b, a):
+            assert s.factorizations(x) == recursive_factorizations(s.generators, x), (s, x)
 
 
 def test_factorizations_single_generator():

@@ -365,7 +365,7 @@ def test_start_precision_covers_twice_abc():
 
 @pytest.mark.skipif(
     not os.environ.get("CUSPSEMI_SLOW"),
-    reason="full factorization-graph sweep takes about 40 s; set CUSPSEMI_SLOW=1",
+    reason="full factorization-graph sweep takes about 8 s; set CUSPSEMI_SLOW=1",
 )
 def test_betti_full_sweep():
     assert verify.check_betti_supersym(max_abc=2000).passed
