@@ -112,9 +112,19 @@ def cmd_generic(args: argparse.Namespace) -> int:
 
 
 def _verify_kwargs(func: object, args: argparse.Namespace) -> dict:
-    """The flags the user passed, by the checker's own parameter names; ``prime`` always."""
+    """The flags the user passed, by the checker's own parameter names; ``prime`` always.
+
+    A flag the checker has no parameter for is a usage error, except ``--seed``,
+    which every id accepts so that one seed can be passed to all of them.
+    """
+    params = inspect.signature(func).parameters  # type: ignore[arg-type]
+    skip = {*params, "command", "theorem", "list_theorems", "func", "seed"}
+    unread = [f"--{name.replace('_', '-')}" for name, value in vars(args).items()
+              if value is not None and name not in skip]
+    if unread:
+        raise ValueError(f"verify {args.theorem} takes no {', '.join(unread)}")
     kwargs = {}
-    for name in inspect.signature(func).parameters:  # type: ignore[arg-type]
+    for name in params:
         if name == "prime":
             kwargs[name] = _prime(args)
         elif (value := getattr(args, name)) is not None:

@@ -9,13 +9,16 @@ affect the pass verdict.
 A sweep is one call of :func:`_sweep`: it streams the instances, calls the
 checker's probe once per instance and writes one row per label.  The probe
 returns one outcome per label: ``True`` passes, ``False`` fails the instance
-under its name, and a list holds the instance's own failure tags, for a row
-that can fail more than once per instance.  Rows count the instances that ran,
-so an empty or negative range fails.  ``@_theorem`` registers each checker.
+under its name, a list holds the instance's own failure tags, for a row that
+can fail more than once per instance, and ``None`` leaves the instance out of
+that row.  Each row counts the instances it took, so a row that took none
+fails, and :func:`_sweep` returns those per-row counts.  ``@_theorem``
+registers each checker.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
@@ -65,35 +68,33 @@ def _theorem(name: str, description: str) -> Callable:
     return register
 
 
-def _sweep_row(result: CheckResult, label: str, failures: list[str], total: int) -> None:
-    if failures:
-        result.row(label, False, f"failed at {', '.join(failures[:5])}")
-    elif total == 0:
-        result.row(label, False, "no instances in range")
-    else:
-        result.row(label, True, f"{total} instances")
-
-
 # Failure tags: an instance's first three entries as (a,b,c), a profile as (m=..,l=..).
 _triple_tag = "({0[0]},{0[1]},{0[2]})".format
 _profile_tag = "(m={0[0]},l={0[1]})".format
 
 
 def _sweep(result: CheckResult, labels: Sequence[str], instances: Iterable, probe: Callable,
-           name: Callable[..., str] = _triple_tag) -> int:
-    """Probe every instance once, write one sweep row per label, return the instance count."""
+           name: Callable[..., str] = _triple_tag) -> list[int]:
+    """Probe every instance once, write one sweep row per label, return each row's count."""
     failures: list[list[str]] = [[] for _ in labels]
-    total = 0
+    counts = [0] * len(labels)
     for x in instances:
-        total += 1
-        for bad, outcome in zip(failures, probe(x), strict=True):
+        for i, (bad, outcome) in enumerate(zip(failures, probe(x), strict=True)):
+            if outcome is None:
+                continue
+            counts[i] += 1
             if isinstance(outcome, list):
                 bad.extend(outcome)
             elif not outcome:
                 bad.append(name(x))
-    for label, bad in zip(labels, failures):
-        _sweep_row(result, label, bad, total)
-    return total
+    for label, bad, count in zip(labels, failures, counts):
+        if bad:
+            result.row(label, False, f"failed at {', '.join(bad[:5])}")
+        elif count == 0:
+            result.row(label, False, "no instances in range")
+        else:
+            result.row(label, True, f"{count} instances")
+    return counts
 
 
 def _profiles(parity: str, ms: range, ells: range) -> Iterator[tuple[int, int]]:
@@ -137,40 +138,30 @@ def check_rho_simplex(max_abc: int = 5000) -> CheckResult:
 @_theorem("yz-bounds", "Yau-Zhang lattice-point bounds on the rho simplex")
 def check_yz_bounds(max_abc: int = 4000) -> CheckResult:
     """Lattice counts respect both Yau-Zhang bounds on in-hypothesis simplices."""
-    def bounds(x: tuple) -> tuple[bool, bool]:
-        q = supersym.lattice_count(*x[3])
-        return q <= supersym.yz_weak_bound(*x[3]), q <= supersym.yz_strong_bound(*x[3])
-
-    # The strong bound collapses to a polynomial in a, b, c on these simplices.
-    def simplification(x: tuple) -> tuple[bool]:
-        a, b, c, simplex = x
-        closed = Fraction(
-            a * b * c - (a * b + a * c + b * c) + (a + b + c) - 1, 6
-        )
-        return (supersym.yz_strong_bound(*simplex) == closed,)
-
-    # Each triple's simplex is built once; those with abc <= 1500 are kept, in
-    # lexicographic order, for the simplification sweep.
-    def in_hypothesis() -> Iterator[tuple]:
-        for a, b, c in triples:
-            simplex = supersym.rho_simplex(a, b, c)
-            if simplex is None:
-                continue
-            if a * b * c <= 1500:
-                small.append((a, b, c, simplex))
-            if supersym.yz_hypothesis(*simplex):
-                yield a, b, c, simplex
+    def probe(t: tuple[int, int, int]) -> tuple[bool | None, ...]:
+        simplex = supersym.rho_simplex(*t)
+        if simplex is None:
+            return None, None, None
+        a, b, c = t
+        # The strong bound collapses to a polynomial in a, b, c on these simplices.
+        simplified = None
+        if a * b * c <= 1500:
+            closed = Fraction(a * b * c - (a * b + a * c + b * c) + (a + b + c) - 1, 6)
+            simplified = supersym.yz_strong_bound(*simplex) == closed
+        if not supersym.yz_hypothesis(*simplex):
+            return None, None, simplified
+        q = supersym.lattice_count(*simplex)
+        weak, strong = supersym.yz_weak_bound(*simplex), supersym.yz_strong_bound(*simplex)
+        return q <= weak, q <= strong, simplified
 
     result = CheckResult("yz-bounds")
     triples = list(supersym.coprime_triples(max_abc))
-    small: list[tuple] = []
-    labels = ("count <= weak bound", "count <= strong bound")
-    skipped = len(triples) - _sweep(result, labels, in_hypothesis(), bounds)
+    labels = ("count <= weak bound", "count <= strong bound", "strong bound simplification")
+    skipped = len(triples) - _sweep(result, labels, triples, probe)[0]
     if skipped:
         result.findings.append(
             f"{skipped} triples skipped: simplex empty or intercepts below the hypothesis"
         )
-    _sweep(result, ("strong bound simplification",), small, simplification)
     return result
 
 
@@ -216,24 +207,19 @@ def check_excess_generic(max_abc: int = 4000) -> CheckResult:
 @_theorem("sprime", "genus/frobenius closed forms for the extension by abc + 1")
 def check_sprime(max_abc: int = 5000) -> CheckResult:
     """Genus and Frobenius closed forms for the extension by abc + 1 match the sieve."""
-    # the triples where abc + 1 is a gap, each with its extension
-    def extensions() -> Iterator[tuple]:
-        for t in triples:
-            try:
-                s = supersym.s_prime(*t)
-            except supersym.NotApplicableError:
-                continue
-            yield *t, s
-
-    def probe(x: tuple) -> tuple[bool, bool]:
-        *t, s = x
+    # only the triples where abc + 1 is a gap have an extension
+    def probe(t: tuple[int, int, int]) -> tuple[bool | None, bool | None]:
+        try:
+            s = supersym.s_prime(*t)
+        except supersym.NotApplicableError:
+            return None, None
         genus, frobenius = supersym.s_prime_invariants(*t)
         return genus == s.genus, frobenius == s.frobenius
 
     result = CheckResult("sprime")
     labels = ("extension genus formula = sieve", "extension frobenius formula = sieve")
     triples = list(supersym.coprime_triples(max_abc))
-    gaps = _sweep(result, labels, extensions(), probe)
+    gaps = _sweep(result, labels, triples, probe)[0]
     result.findings.append(f"{gaps} of {len(triples)} triples have abc + 1 as a gap")
     for triple, expected in (((3, 4, 5), (35, 58)), ((4, 5, 7), (96, 177))):
         got = supersym.s_prime_invariants(*triple)
@@ -324,27 +310,27 @@ def check_m2_gaps(l: range = range(4, 17)) -> CheckResult:
 @_theorem("arith-genus-upper", "genus closed form of the approximating semigroup")
 def check_arith_genus_upper(m: range = range(2, 5), l: range = range(4, 21)) -> CheckResult:
     """Genus closed form matches the sieve for even ell; odd ell is adjudicated."""
-    bad_gs: list[str] = []
     stated_matches = 0
 
-    def probe(profile: tuple[int, int]) -> tuple[bool]:
+    def probe(profile: tuple[int, int]) -> tuple[bool | None, bool | None, bool]:
         nonlocal stated_matches
         s = arith.approximating_semigroup(*profile)
         bound = arith.genus_upper(*profile)
         # Selmer: the genus is the sum of (w - i) / n over the Apery entries w = i mod n
         n = s.multiplicity
-        if sum((w - i) // n for i, w in enumerate(s.apery())) != s.genus:
-            bad_gs.append(_profile_tag(profile))
+        selmer = sum((w - i) // n for i, w in enumerate(s.apery())) == s.genus
         if profile[1] % 2 == 0:
-            return (s.genus == bound.proof_derived == bound.stated,)
+            return s.genus == bound.proof_derived == bound.stated, None, selmer
         stated_matches += bound.stated == s.genus
-        return (s.genus == bound.proof_derived,)
+        return None, s.genus == bound.proof_derived, selmer
 
     result = CheckResult("arith-genus-upper")
-    evens, odds = _profiles("even", m, l), _profiles("odd", m, l)
-    total_even = _sweep(result, ("even ell: formula = sieve genus",), evens, probe, _profile_tag)
-    total_odd = _sweep(result, ("odd ell: derived value = sieve genus",), odds, probe, _profile_tag)
-    _sweep_row(result, "apery gap identity", bad_gs, total_even + total_odd)
+    labels = (
+        "even ell: formula = sieve genus", "odd ell: derived value = sieve genus",
+        "apery gap identity",
+    )
+    profiles = itertools.chain(_profiles("even", m, l), _profiles("odd", m, l))
+    total_odd = _sweep(result, labels, profiles, probe, _profile_tag)[1]
     result.findings.append(
         f"odd ell: the stated (l+1)(l-2)/4 form matched the sieve on {stated_matches}"
         f" of {total_odd} instances; the derived (l+1)(l-1)/4 form matched all"
@@ -355,26 +341,23 @@ def check_arith_genus_upper(m: range = range(2, 5), l: range = range(4, 21)) -> 
 def _check_apery(parity: str, ms: range, ells: range) -> CheckResult:
     result = CheckResult(f"apery-{parity}")
     profiles = list(_profiles(parity, ms, ells))
+    classes: list[tuple] = []
     uncovered_total = 0
-
-    def classes() -> Iterator[tuple]:
-        nonlocal uncovered_total
-        for m, ell in profiles:
-            apery = arith.approximating_semigroup(m, ell).apery()
-            formulas = arith.apery_predictions(m, ell)
-            for p in formulas.predictions:
-                yield m, ell, apery, p
-            uncovered_total += len(formulas.uncovered)
-            for note in formulas.findings:
-                if note not in result.findings:
-                    result.findings.append(note)
+    for m, ell in profiles:
+        apery = arith.approximating_semigroup(m, ell).apery()
+        formulas = arith.apery_predictions(m, ell)
+        classes.extend((m, ell, apery, p) for p in formulas.predictions)
+        uncovered_total += len(formulas.uncovered)
+        for note in formulas.findings:
+            if note not in result.findings:
+                result.findings.append(note)
 
     def probe(x: tuple) -> tuple[bool | list[str]]:
         m, ell, apery, p = x
         ok = apery[p.residue] == p.value
         return (ok or [f"(m={m},l={ell}) residue {p.residue} [{p.family}]"],)
 
-    _sweep(result, ("formula entries = table entries",), classes(), probe)
+    _sweep(result, ("formula entries = table entries",), classes, probe)
     result.row(
         "coverage",
         None,

@@ -291,25 +291,47 @@ def test_verify_flag_passthrough(capsys):
 def test_verify_flags_reach_every_checker_parameter():
     # every verify flag set to its own value; a flag is the checker parameter
     # of the same name, so a renamed parameter loses its flag here
-    argv = [
-        "verify", "supersym-invariants", "--max-abc", "101", "--l", "102..103", "--m", "104",
-        "--trials", "107", "--seed", "108", "--prime", "109", "--instances", "110",
-        "--samples", "111", "--eps", "0.25",
-    ]
-    parsed = {
-        "max_abc": 101, "l": range(102, 104), "m": range(104, 105), "trials": 107, "seed": 108,
-        "prime": 109, "instances": 110, "samples": 111, "eps": 0.25,
+    flag_values = {
+        "max_abc": ("101", 101), "l": ("102..103", range(102, 104)), "m": ("104", range(104, 105)),
+        "trials": ("107", 107), "seed": ("108", 108), "prime": ("109", 109),
+        "instances": ("110", 110), "samples": ("111", 111), "eps": ("0.25", 0.25),
     }
     parser = cli.build_parser()
-    args = parser.parse_args(argv)
     defaults = vars(parser.parse_args(["verify"]))
     flags = {dest for dest in defaults if dest not in ("command", "func", "theorem", "list_theorems")}
     params = {
         name: list(inspect.signature(func).parameters) for name, (_, func) in verify.THEOREMS.items()
     }
-    assert flags == set(parsed) == set().union(*params.values())
+    assert flags == set(flag_values) == set().union(*params.values())
     for name, (_, func) in verify.THEOREMS.items():
-        assert cli._verify_kwargs(func, args) == {p: parsed[p] for p in params[name]}, name
+        # each checker gets its own flags, and --seed, which every id accepts
+        argv = ["verify", name]
+        for dest in sorted({*params[name], "seed"}):
+            argv += ["--" + dest.replace("_", "-"), flag_values[dest][0]]
+        args = parser.parse_args(argv)
+        assert cli._verify_kwargs(func, args) == {p: flag_values[p][1] for p in params[name]}, name
+
+
+@pytest.mark.parametrize(
+    "argv, unread",
+    [
+        (("m2-gaps", "--m", "3..4"), "--m"),
+        (("rho-simplex", "--trials", "9"), "--trials"),
+        (("rho-simplex", "--max-abc", "300", "--trials", "9", "--l", "4..5"), "--l, --trials"),
+    ],
+    ids=["m2-gaps-m", "rho-simplex-trials", "rho-simplex-l-trials"],
+)
+def test_verify_rejects_a_flag_its_checker_does_not_read(capsys, argv, unread):
+    code, out, err = run_cli(capsys, "verify", *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: verify {argv[0]} takes no {unread}\n"
+
+
+def test_verify_accepts_seed_for_every_id(capsys):
+    code, out, _ = run_cli(capsys, "verify", "rho-simplex", "--seed", "3")
+    assert code == 0
+    assert out.endswith("result: PASS\n")
 
 
 @pytest.mark.parametrize("text, parsed", [("4..9", range(4, 10)), ("7", range(7, 8)), ("9..4", range(9, 5))])

@@ -103,6 +103,65 @@ def test_generic_montecarlo_checker_small():
     assert "lower <= genus <= upper" in labels
 
 
+# The sweep runner: one row per label, each counting the instances it took.
+
+
+def test_sweep_leaves_none_outcomes_out_of_their_row():
+    outcomes = {
+        0: (True, None, None),
+        1: (None, False, None),
+        2: (True, True, None),
+        3: (None, ["3 once", "3 twice"], None),
+    }
+    res = CheckResult("t")
+    counts = verify._sweep(res, ("a", "b", "c"), outcomes, outcomes.get, name="x={}".format)
+    assert counts == [2, 3, 0]
+    assert res.rows == [
+        CheckRow("a", True, "2 instances"),
+        CheckRow("b", False, "failed at x=1, 3 once, 3 twice"),
+        CheckRow("c", False, "no instances in range"),
+    ]
+
+
+@pytest.mark.parametrize("outcomes", [(True,), (True, True, True)], ids=["short", "long"])
+def test_sweep_rejects_a_probe_with_the_wrong_number_of_outcomes(outcomes):
+    with pytest.raises(ValueError):
+        verify._sweep(CheckResult("t"), ("a", "b"), [0], lambda x: outcomes)
+
+
+@pytest.mark.parametrize(
+    "argv, code, expected",
+    [
+        (
+            ("arith-genus-upper", "--l", "4..4"),
+            1,
+            "theorem: arith-genus-upper\n"
+            "  PASS even ell: formula = sieve genus  [1 instances]\n"
+            "  FAIL odd ell: derived value = sieve genus  [no instances in range]\n"
+            "  PASS apery gap identity  [1 instances]\n"
+            "  FINDING: odd ell: the stated (l+1)(l-2)/4 form matched the sieve on 0 of 0"
+            " instances; the derived (l+1)(l-1)/4 form matched all\n"
+            "result: FAIL\n",
+        ),
+        (
+            # the simplification row takes only the 744 simplices with abc <= 1500
+            ("yz-bounds", "--max-abc", "1600"),
+            0,
+            "theorem: yz-bounds\n"
+            "  PASS count <= weak bound  [492 instances]\n"
+            "  PASS count <= strong bound  [492 instances]\n"
+            "  PASS strong bound simplification  [744 instances]\n"
+            "  FINDING: 328 triples skipped: simplex empty or intercepts below the hypothesis\n"
+            "result: PASS\n",
+        ),
+    ],
+    ids=["arith-genus-upper", "yz-bounds"],
+)
+def test_sweep_rows_count_the_instances_each_took(capsys, argv, code, expected):
+    assert cli.main(["verify", *argv]) == code
+    assert capsys.readouterr().out == expected
+
+
 # Failure paths: each test injects one fault and pins the exact row it yields.
 
 
