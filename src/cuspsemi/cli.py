@@ -212,11 +212,11 @@ def _arith_row(m: int, ell: int) -> dict:
     }
 
 
-def _generic_row(ell: int, trials: int, prime: int, seed: int) -> dict:
-    orders = arith.profile_orders(2, ell)
+def _generic_row(m: int, ell: int, trials: int, prime: int, seed: int) -> dict:
+    orders = arith.profile_orders(m, ell)
     emp = series.empirical_generic_semigroup(orders, trials=trials, prime=prime, base_seed=seed)
     lower = arith.best_genus_lower(orders).bound
-    upper = arith.genus_upper(2, ell).proof_derived
+    upper = arith.genus_upper(m, ell).proof_derived
     r1, r2, r3 = orders
     return {
         "l": ell,
@@ -252,9 +252,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         rows = (_arith_row(m, ell) for m in ms for ell in ells if ell >= 2 * m)
         columns = _ARITH_COLUMNS
     else:  # "generic": argparse admits no other family
+        # no m column: r1 = m * l
+        ms = range(2, 3) if args.m is None else args.m
         ells = range(4, 9) if args.l is None else args.l
         prime = _prime(args)
-        rows = (_generic_row(ell, args.trials, prime, args.seed) for ell in ells)
+        rows = (_generic_row(m, ell, args.trials, prime, args.seed) for m in ms for ell in ells)
         columns = _GENERIC_COLUMNS
 
     # an unwritable --out fails here, before the first row; a failing row writes nothing

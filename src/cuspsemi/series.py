@@ -5,11 +5,14 @@ coordinate series of a cusp parameterization.  Genericity is emulated by
 drawing the higher coefficients uniformly from a large prime field: each
 coordinate is a truncated power series with leading coefficient 1.  The set of
 valuations achieved by the generated algebra below a precision horizon equals
-the pivot-degree set of the echelon form of the monomial coefficient matrix,
-with rows reduced in increasing valuation so a single sweep suffices.  The
-result is exact for the drawn instance; agreement across independent seeds is
-the evidence that the instance is generic.  Once the conductor is captured and
-the achieved set is checked to be additively closed, the value semigroup is a
+the pivot-degree set of the echelon form of the monomial coefficient matrix.
+Rows go in by increasing monomial degree and a row only makes pivots at or
+above its own degree, so the achieved set below a degree is final once every
+monomial below it is in; the echelon stops at the first degree below which
+that set holds a run of r1 values, the conductor's.  The result is exact for
+the drawn instance; agreement across independent seeds is the evidence that
+the instance is generic.  Once the conductor is captured and the achieved set
+is checked to be additively closed, the value semigroup is a
 :class:`~cuspsemi.semigroup.NumericalSemigroup` like any other.
 
 Every series is one Python integer with a fixed-width slot per degree
@@ -280,8 +283,8 @@ def random_series(valuation: int, precision: int, prime: int = DEFAULT_PRIME, se
     return _draw_series(random.Random(seed), valuation, precision, prime)
 
 
-def _exponents_below(orders: tuple[int, ...], precision: int) -> list[tuple[int, ...]]:
-    """Nonzero exponent tuples with weighted degree below ``precision``, sorted by degree."""
+def _exponents_below(orders: tuple[int, ...], precision: int) -> list[tuple[int, tuple[int, ...]]]:
+    """(weighted degree, exponents) of the nonzero exponent tuples below ``precision``, sorted."""
     n = len(orders)
     found: list[tuple[int, tuple[int, ...]]] = []
     vec = [0] * n
@@ -301,7 +304,7 @@ def _exponents_below(orders: tuple[int, ...], precision: int) -> list[tuple[int,
 
     descend(0, 0)
     found.sort()
-    return [exp for _, exp in found]
+    return found
 
 
 def _insert_row(pivots: dict[int, int], series: TruncatedSeries) -> int | None:
@@ -358,14 +361,18 @@ def value_semigroup(
     prime: int = DEFAULT_PRIME,
     seed: int = 0,
 ) -> tuple[int, ...]:
-    """Achieved valuations in [0, precision) for one random instance of the profile.
+    """The achieved valuations below the degree where they are settled and hold a run of r1.
 
-    Every monomial in the coordinate series with weighted degree below
-    ``precision`` contributes a coefficient row; the pivot degrees of the
-    echelon form, together with 0, are exactly the valuations achieved by the
-    algebra below the horizon.  Raises :class:`PrecisionTooSmallError` when no
-    run of r1 consecutive achieved values fits below the horizon, since the
-    conductor is then not captured.
+    The monomials in the coordinate series are inserted as coefficient rows in
+    increasing weighted degree; the pivot degrees of the echelon form, together
+    with 0, are exactly the valuations achieved by the algebra.  A row of
+    degree D only makes pivots at D or above, so once every monomial below D
+    is in, the achieved set below D is final.  The echelon stops at the first
+    such D below which the achieved set holds a run of r1 consecutive values,
+    which starts at the conductor, and returns the achieved set below D; rows
+    at D and above are neither multiplied out nor reduced.  Raises
+    :class:`PrecisionTooSmallError` when no such D fits below ``precision``,
+    since the conductor is then not captured.
     """
     prof = RamificationProfile.of(profile)
     orders = prof.orders
@@ -381,22 +388,31 @@ def value_semigroup(
         unit = tuple(1 if j == i else 0 for j in range(len(orders)))
         memo[unit] = base[i]
 
+    r1 = orders[0]
     pivots: dict[int, int] = {}
-    for exp in _exponents_below(orders, precision):
+    achieved = 1  # bit x set for each achieved valuation x, 0 included
+    settled = 0  # every row below this degree is in
+    for degree, exp in _exponents_below(orders, precision):
+        if degree > settled:
+            if _first_run_start(achieved & ((1 << degree) - 1), r1) is not None:
+                break
+            settled = degree
         series = memo.get(exp)
         if series is None:
             j = next(idx for idx, e in enumerate(exp) if e)
             parent = exp[:j] + (exp[j] - 1,) + exp[j + 1 :]
             series = memo[parent] * base[j]
             memo[exp] = series
-        _insert_row(pivots, series)
-
-    achieved = sorted({0, *pivots})
-    if detect_conductor(achieved, orders[0]) is None:
-        raise PrecisionTooSmallError(
-            f"no run of {orders[0]} consecutive achieved valuations below {precision}"
-        )
-    return tuple(achieved)
+        pivot = _insert_row(pivots, series)
+        if pivot is not None:
+            achieved |= 1 << pivot
+    else:
+        degree = precision
+        if _first_run_start(achieved, r1) is None:
+            raise PrecisionTooSmallError(
+                f"no run of {r1} consecutive achieved valuations below {precision}"
+            )
+    return (0, *sorted(d for d in pivots if d < degree))
 
 
 def start_precision(profile: RamificationProfile | Sequence[int]) -> int:
@@ -424,9 +440,10 @@ def capture_conductors(
     This is the only place that grows the precision horizon.  Each seed starts
     at :func:`start_precision` and doubles the horizon on every
     :class:`PrecisionTooSmallError`, for at most ``_HORIZON_ATTEMPTS`` horizons.
-    The achieved set must be closed above the conductor it shows, and the
-    members below it must be closed under addition: the semigroup generated by
-    them and the r1 values from the conductor has no other member below it.
+    The achieved set must hold every value from the conductor it shows through
+    its last value, and the members below the conductor must be closed under
+    addition: the semigroup generated by them and the r1 values from the
+    conductor has no other member below it.
     """
     prof = RamificationProfile.of(profile)
     r1 = prof.orders[0]
@@ -448,7 +465,7 @@ def capture_conductors(
         conductor = _first_run_start(bits, r1)
         if conductor is None:
             raise AchievedSetError(f"achieved set has no run of {r1} consecutive values")
-        above = (1 << (precision - conductor)) - 1
+        above = (1 << (achieved[-1] + 1 - conductor)) - 1
         if (bits >> conductor) & above != above:
             raise AchievedSetError("achieved set is not closed above its conductor")
         if not bits & 1:

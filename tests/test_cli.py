@@ -474,6 +474,15 @@ def test_sweep_generic_json(capsys):
     assert all(r["in_bounds"] for r in rows)
 
 
+def test_sweep_generic_reads_m(capsys):
+    argv = ("sweep", "--family", "generic", "--m", "3..3", "--l", "6..6", "--format", "json")
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    (row,) = json.loads(out)["rows"]
+    assert (row["l"], row["r1"], row["r2"], row["r3"]) == (6, 18, 21, 24)
+    assert row["in_bounds"] is True
+
+
 def test_sweep_file_output(tmp_path, capsys):
     target = tmp_path / "sweep.csv"
     code, out, _ = run_cli(capsys, "sweep", "--family", "supersym", "--max-abc", "200", "--out", str(target))

@@ -62,6 +62,18 @@ def replay_rows(rows, prime):
     return (got, unpacked), (want, lists)
 
 
+def monomial_rows(orders, precision, prime, seed):
+    """Every monomial of the instance ``value_semigroup`` draws, below the horizon, in degree order."""
+    rng = random.Random(seed)
+    base = [series._draw_series(rng, r, precision, prime) for r in orders]
+    built = {}
+    for _, exp in series._exponents_below(orders, precision):
+        j = next(i for i, e in enumerate(exp) if e)
+        parent = exp[:j] + (exp[j] - 1,) + exp[j + 1 :]
+        built[exp] = built[parent] * base[j] if any(parent) else base[j]
+    return list(built.values())
+
+
 def test_profile_validation():
     p = RamificationProfile.of((8, 10, 12))
     assert p.orders == (8, 10, 12)
@@ -94,8 +106,9 @@ def test_series_draw_is_seeded():
 
 
 def test_value_semigroup_two_generator_profile():
-    achieved = value_semigroup((2, 3), 16)
-    assert achieved[:8] == (0, 2, 3, 4, 5, 6, 7, 8)
+    # the rows of degree 2 and 3 settle {0, 2, 3}, whose run 2, 3 is the
+    # conductor's; the echelon stops before degree 4
+    assert value_semigroup((2, 3), 16) == (0, 2, 3)
 
 
 def test_value_semigroup_rejects_small_prime():
@@ -239,7 +252,62 @@ def test_kronecker_product_worst_case_slots():
 
 
 @pytest.mark.parametrize("prime", PRIMES)
-def test_packed_rows_match_list_reduction(monkeypatch, prime):
+def test_packed_rows_match_list_reduction(prime):
+    # every monomial below the horizon capture_conductors reaches,
+    # start_precision doubled once: far past the early stop, so that some
+    # rows reduce to zero
+    orders = (8, 10, 12)
+    precision = 2 * start_precision(orders)
+    rows = monomial_rows(orders, precision, prime, seed=0)
+    (got, packed), (want, lists) = replay_rows(rows, prime)
+    assert got == want
+    assert sum(d is not None for d in got) < len(rows)  # some rows reduce to zero
+    assert set(packed) == set(lists)
+    assert packed == lists
+    achieved = value_semigroup(orders, precision, prime, seed=0)
+    assert set(achieved) - {0} == {d for d in packed if d <= achieved[-1]}
+
+
+def full_echelon_stop(orders, precision, prime, seed):
+    """The full-horizon achieved set below the first row degree where it holds a run of r1.
+
+    None when no row degree, nor the horizon, has such a run below it.
+    """
+    rows = monomial_rows(orders, precision, prime, seed)
+    pivots = {}
+    achieved = {0} | {d for d in (series._insert_row(pivots, row) for row in rows) if d is not None}
+    for stop in sorted({row.valuation for row in rows} | {precision}):
+        below = sorted(x for x in achieved if x < stop)
+        if series.detect_conductor(below, orders[0]) is not None:
+            return tuple(below)
+    return None
+
+
+@pytest.mark.parametrize(
+    "orders",
+    [(2 * l, 2 * l + 2, 2 * l + 4) for l in range(4, 11)]
+    + [(3 * l, 3 * l + 3, 3 * l + 6) for l in range(6, 9)]
+    + [(32, 36, 40), (5, 7), (6, 9, 10, 15), (12, 15, 20)],
+    ids=lambda orders: "-".join(map(str, orders)),
+)
+def test_early_stop_matches_the_full_horizon_echelon(orders):
+    # the horizons capture_conductors tries, each against the oracle that
+    # inserts every monomial below the horizon
+    for prime in (2**31 - 1, BIG_PRIME):
+        for seed in (0, 1):
+            precision = start_precision(orders)
+            while True:
+                want = full_echelon_stop(orders, precision, prime, seed)
+                if want is not None:
+                    break
+                with pytest.raises(PrecisionTooSmallError):
+                    value_semigroup(orders, precision, prime, seed)
+                precision *= 2
+            assert value_semigroup(orders, precision, prime, seed) == want
+
+
+def test_early_stop_inserts_85_rows_at_l_14(monkeypatch):
+    # 518 rows reach the full horizon; the stop leaves 85
     rows = []
     insert = series._insert_row
 
@@ -248,15 +316,9 @@ def test_packed_rows_match_list_reduction(monkeypatch, prime):
         return insert(pivots, row)
 
     monkeypatch.setattr(series, "_insert_row", record)
-    # the horizon capture_conductors reaches: start_precision, doubled once
-    achieved = value_semigroup((8, 10, 12), 2 * start_precision((8, 10, 12)), prime, seed=0)
-    monkeypatch.undo()
-
-    (got, packed), (want, lists) = replay_rows(rows, prime)
-    assert got == want
-    assert sum(d is not None for d in got) < len(rows)  # some rows reduce to zero
-    assert set(packed) == set(lists) == set(achieved) - {0}
-    assert packed == lists
+    orders = (28, 30, 32)
+    value_semigroup(orders, start_precision(orders), seed=0)
+    assert len(rows) == 85
 
 
 def test_packed_row_worst_case_slots():
@@ -457,7 +519,7 @@ def test_detect_conductor_matches_linear_scan():
     "achieved, message",
     [
         (lambda precision: (0, 4, 6, 8), "no run of 4 consecutive values"),
-        (lambda precision: (0, 4, 6, 8, 9, 10, 11, 12) + tuple(range(14, precision)), "not closed above"),
+        (lambda precision: (0, 4, 6, 8, 9, 10, 11, 13), "not closed above"),
         (lambda precision: (4, 6) + tuple(range(8, precision)), "must contain 0"),
         (lambda precision: (0, 4, 6, 7) + tuple(range(9, precision)), "not additively closed"),
         (lambda precision: (0,) + tuple(range(5, precision)), "every profile order"),
