@@ -172,6 +172,8 @@ _GENERIC_COLUMNS = "l,r1,r2,r3,conductor,genus,genus_lower,genus_upper,in_bounds
 
 def _supersym_row(a: int, b: int, c: int) -> dict:
     report = severi.excess_supersym(a, b, c)
+    # codim = 2 * rho + ab + ac + bc - 7: rho is read back, not computed again
+    rho = (report.codim - (a * b + a * c + b * c) + 7) // 2
     try:
         sprime = supersym.s_prime_invariants(a, b, c)
     except supersym.NotApplicableError:
@@ -182,7 +184,7 @@ def _supersym_row(a: int, b: int, c: int) -> dict:
         "c": c,
         "genus": report.genus,
         "frobenius": supersym.frobenius_formula(a, b, c),
-        "rho": supersym.rho(a, b, c),
+        "rho": rho,
         "codim": report.codim,
         "nodal_codim": report.genus,  # (n - 2) * genus in P^3
         "excess": report.excess,

@@ -21,10 +21,12 @@ from typing import Sequence
 
 from cuspsemi.series import RamificationProfile
 from cuspsemi.supersym import (
+    MethodMismatchError,
+    apery_count_below,
     genus_formula,
+    lattice_count,
     pairwise_products,
     rho,
-    supersym_semigroup,
 )
 
 
@@ -89,10 +91,20 @@ def excess_generic_supersym(a: int, b: int, c: int, empirical_genus: int | None 
     the exact lower bound abc - #{members of <ab, ac, bc> below abc} when no
     Monte-Carlo value is supplied (a smaller genus only strengthens a negative
     verdict, so the sufficient inequality rhobound2 is checked alongside).
+    That member count is taken from the Apery set and checked against the
+    lattice points of ab*x + ac*y + bc*z <= abc - 1, one per member because
+    factorization is unique below abc; disagreement raises
+    :class:`~cuspsemi.supersym.MethodMismatchError`.
     """
     profile = pairwise_products(a, b, c)
     abc = a * b * c
-    members_below = supersym_semigroup(a, b, c).member_count_below(abc)
+    members_below = apery_count_below(a, b, c, abc)
+    by_lattice = lattice_count(*profile, abc - 1)
+    if members_below != by_lattice:
+        raise MethodMismatchError(
+            f"excess_generic_supersym({a},{b},{c}): Apery count {members_below} "
+            f"!= lattice count {by_lattice} below abc"
+        )
     g = abc - members_below if empirical_genus is None else empirical_genus
     codim = generic_codim(profile)
     # rhobound2: members below abc < abc - (ab+ac+bc) + 7

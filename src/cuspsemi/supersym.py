@@ -3,14 +3,18 @@
 For pairwise coprime 2 <= a < b < c the semigroup S = <ab, ac, bc> has closed
 forms for its Frobenius number and genus, a unique-factorization zone below
 abc, and a residue-triple description of its elements congruent to 1 mod abc.
-The count rho of gaps above abc is computed along two independent routes (a
-sieve member count and a floor-sum count of the lattice points with ab*x +
-ac*y + bc*z <= abc - (ab + ac + bc)) that must agree.  Every public function
-takes the plain integers a, b, c and checks them with :func:`pairwise_products`.
-Everything is exact and nothing is random (Monte Carlo lives in
-:mod:`cuspsemi.series`); Fractions are only the values of the Yau-Zhang bounds.
-A guarded result that fails its own check raises :class:`MethodMismatchError`,
-which ``python -O`` keeps.
+Its Apery set with respect to ab is {y*ac + z*bc : 0 <= y < b, 0 <= z < a},
+so the members below any t are counted without building S
+(:func:`apery_count_below`).  The count rho of gaps above abc is the number
+of members below abc - (ab + ac + bc), computed along two independent routes
+that must agree: that Apery count, and a floor-sum count of the lattice points
+with ab*x + ac*y + bc*z <= abc - (ab + ac + bc).  The membership sieve of
+:func:`supersym_semigroup` is the oracle the checks in :mod:`cuspsemi.verify`
+hold both routes to.  Every public function takes the plain integers a, b, c
+and checks them with :func:`pairwise_products`.  Everything is exact and
+nothing is random (Monte Carlo lives in :mod:`cuspsemi.series`); Fractions are
+only the values of the Yau-Zhang bounds.  A guarded result that fails its own
+check raises :class:`MethodMismatchError`, which ``python -O`` keeps.
 """
 
 from __future__ import annotations
@@ -134,22 +138,44 @@ def rho_simplex(a: int, b: int, c: int) -> tuple[int, int, int, int] | None:
     return (ab, ac, bc, d)
 
 
+def apery_count_below(a: int, b: int, c: int, t: int) -> int:
+    """Number of members of <ab, ac, bc> in [0, t), counted from the Apery set.
+
+    Every member is w + k*ab for exactly one w = y*ac + z*bc of Ap(S, ab)
+    (0 <= y < b, 0 <= z < a) and one k >= 0, so the count is the sum of
+    ceil((t - w) / ab) over the w < t.  The double loop runs y inside z, both
+    in increasing order, and breaks once w >= t.
+    """
+    ab, ac, bc = pairwise_products(a, b, c)
+    count = 0
+    for z in range(a):
+        w = z * bc
+        if w >= t:
+            break
+        for _ in range(b):
+            count += (t - w - 1) // ab + 1
+            w += ac
+            if w >= t:
+                break
+    return count
+
+
 def rho(a: int, b: int, c: int) -> int:
     """Number of gaps of <ab, ac, bc> exceeding abc, computed two independent ways.
 
-    By symmetry this equals the number of members below abc - (ab + ac + bc),
-    which is counted both from the membership sieve and as a lattice-point
-    count; disagreement raises :class:`MethodMismatchError`.
+    By symmetry this equals the number of members below d = abc - (ab + ac +
+    bc).  They are counted from the Apery set (:func:`apery_count_below`) and
+    as the lattice points of :func:`rho_simplex` (:func:`lattice_count`); no
+    semigroup is built.  Disagreement raises :class:`MethodMismatchError`.
     """
-    threshold = a * b * c - sum(pairwise_products(a, b, c))
-    by_sieve = supersym_semigroup(a, b, c).member_count_below(threshold)
     simplex = rho_simplex(a, b, c)
+    by_apery = apery_count_below(a, b, c, a * b * c - (a * b + a * c + b * c))
     by_lattice = 0 if simplex is None else lattice_count(*simplex)
-    if by_sieve != by_lattice:
+    if by_apery != by_lattice:
         raise MethodMismatchError(
-            f"rho({a},{b},{c}): sieve count {by_sieve} != lattice count {by_lattice}"
+            f"rho({a},{b},{c}): Apery count {by_apery} != lattice count {by_lattice}"
         )
-    return by_sieve
+    return by_apery
 
 
 def yz_hypothesis(u: int, v: int, w: int, bound: int) -> bool:

@@ -119,13 +119,23 @@ def check_supersym_invariants(max_abc: int = 5000) -> CheckResult:
 
 @_theorem("rho-simplex", "two-route agreement for the gap count above abc")
 def check_rho_simplex(max_abc: int = 5000) -> CheckResult:
-    """The two rho routes agree on a full sweep plus pinned spot values."""
+    """The sieve count, the lattice count and rho agree on a full sweep plus pinned spot values.
+
+    The membership sieve is the oracle: ``rho`` counts from the Apery set and
+    the lattice and builds no semigroup.  It returns a count only when those
+    two agree, so the sieve count equal to ``rho`` is equal to both.
+    """
     def probe(t: tuple[int, int, int]) -> tuple[bool | list[str]]:
+        a, b, c = t
+        d = a * b * c - (a * b + a * c + b * c)
+        by_sieve = supersym.supersym_semigroup(*t).member_count_below(d)
         try:
-            supersym.rho(*t)
+            by_rho = supersym.rho(*t)
         except supersym.MethodMismatchError as exc:
             return ([str(exc)],)
-        return (True,)
+        if by_sieve == by_rho:
+            return (True,)
+        return ([f"rho({a},{b},{c}): sieve count {by_sieve} != rho {by_rho}"],)
 
     result = CheckResult("rho-simplex")
     _sweep(result, ("sieve count = lattice count",), supersym.coprime_triples(max_abc), probe)
@@ -284,7 +294,8 @@ def check_betti_supersym(max_abc: int = 600) -> CheckResult:
     """The only element with a disconnected factorization graph is abc."""
     def probe(t: tuple[int, int, int]) -> tuple[bool]:
         s = supersym.supersym_semigroup(*t)
-        bound = s.conductor + max(s.generators)
+        # a Betti element is w + n_i for some w in Ap(S, ab), as in ``info``
+        bound = max(s.apery()) + max(s.generators)
         return (s.betti_elements(bound) == [t[0] * t[1] * t[2]],)
 
     result = CheckResult("betti-supersym")

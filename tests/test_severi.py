@@ -86,6 +86,14 @@ def test_excess_generic_supersym():
     assert severi.excess_generic_supersym(2, 9, 31).checks == {"rhobound2": True}
 
 
+@pytest.mark.parametrize("route", ["apery_count_below", "lattice_count"])
+def test_excess_generic_member_counts_that_disagree_raise(monkeypatch, route):
+    original = getattr(severi, route)
+    monkeypatch.setattr(severi, route, lambda *args: original(*args) + 1)
+    with pytest.raises(supersym.MethodMismatchError, match=r"\(4,5,9\): Apery count \d+ != lattice count"):
+        severi.excess_generic_supersym(4, 5, 9)
+
+
 def test_excess_generic_accepts_measured_genus():
     rep = severi.excess_generic_supersym(2, 3, 5, empirical_genus=11)
     assert rep.genus == 11

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from cuspsemi import series, supersym, verify
+from cuspsemi import cli, series, severi, supersym, verify
 from cuspsemi.semigroup import NumericalSemigroup
 from cuspsemi.supersym import (
     MethodMismatchError,
@@ -58,6 +58,58 @@ def test_rho_spot_values():
 def test_rho_two_routes_agree():
     for a, b, c in supersym.coprime_triples(1200):
         assert supersym.rho(a, b, c) >= 0  # raises MethodMismatchError on split
+
+
+def test_apery_count_matches_sieve():
+    for a, b, c in supersym.coprime_triples(3000):
+        s = supersym.supersym_semigroup(a, b, c)
+        abc = a * b * c
+        d = abc - (a * b + a * c + b * c)
+        for t in (0, 1, d, s.conductor + 3, abc - 1, abc):
+            assert supersym.apery_count_below(a, b, c, t) == s.member_count_below(t), (a, b, c, t)
+
+
+@pytest.mark.parametrize("route", ["apery_count_below", "lattice_count"])
+def test_rho_routes_that_disagree_raise(monkeypatch, route):
+    original = getattr(supersym, route)
+    monkeypatch.setattr(supersym, route, lambda *args: original(*args) + 1)
+    with pytest.raises(MethodMismatchError, match=r"rho\(4,5,7\): Apery count \d+ != lattice count \d+"):
+        supersym.rho(4, 5, 7)
+
+
+def test_sweep_row_builds_no_semigroup_and_counts_rho_once(monkeypatch):
+    def no_sieve(self, *args, **kwargs):
+        raise AssertionError("a sweep row built a NumericalSemigroup")
+
+    counted = []
+    original = supersym.rho
+
+    def counted_rho(*args):
+        counted.append(args)
+        return original(*args)
+
+    triples = list(supersym.coprime_triples(1500))
+    expected = {t: original(*t) for t in triples}
+    monkeypatch.setattr(NumericalSemigroup, "__init__", no_sieve)
+    # severi imports rho by name, so both bindings are counted
+    monkeypatch.setattr(supersym, "rho", counted_rho)
+    monkeypatch.setattr(severi, "rho", counted_rho)
+    for t in triples:
+        assert cli._supersym_row(*t)["rho"] == expected[t]
+    assert counted == triples
+
+
+@pytest.mark.skipif(
+    not os.environ.get("CUSPSEMI_SLOW"),
+    reason="2,000 sieve builds with abc near 10^5; set CUSPSEMI_SLOW=1",
+)
+def test_apery_count_matches_sieve_near_abc_1e5():
+    triples = [t for t in supersym.coprime_triples(100_000) if t[0] * t[1] * t[2] > 50_000]
+    for a, b, c in random.Random(0).sample(triples, 2000):
+        s = supersym.supersym_semigroup(a, b, c)
+        abc = a * b * c
+        for t in (abc - (a * b + a * c + b * c), abc):
+            assert supersym.apery_count_below(a, b, c, t) == s.member_count_below(t), (a, b, c, t)
 
 
 def test_rho_simplex_empty_when_gapless():

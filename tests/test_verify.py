@@ -189,9 +189,20 @@ def test_rho_row_carries_the_mismatch_text(monkeypatch):
     assert res.rows[0] == CheckRow(
         "sieve count = lattice count",
         False,
-        "failed at rho(2,5,7): sieve count 2 != lattice count 0",
+        "failed at rho(2,5,7): Apery count 2 != lattice count 0",
     )
     assert all(row.ok for row in res.rows[1:])
+
+
+def test_rho_row_holds_rho_to_the_sieve(monkeypatch):
+    rho = supersym.rho
+    monkeypatch.setattr(supersym, "rho", lambda a, b, c: rho(a, b, c) + ((a, b, c) == (2, 5, 7)))
+    res = verify.check_rho_simplex(max_abc=100)
+    assert res.rows[0] == CheckRow(
+        "sieve count = lattice count",
+        False,
+        "failed at rho(2,5,7): sieve count 2 != rho 3",
+    )
 
 
 def test_membership_mismatch_ends_the_scan_of_its_triple(monkeypatch):
