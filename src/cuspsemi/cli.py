@@ -12,9 +12,12 @@ import argparse
 import contextlib
 import csv
 import inspect
+import itertools
 import json
 import os
 import sys
+import warnings
+from collections.abc import Iterator
 from typing import TextIO
 
 import cuspsemi
@@ -111,18 +114,19 @@ def cmd_generic(args: argparse.Namespace) -> int:
     return 0
 
 
-def _verify_kwargs(func: object, args: argparse.Namespace) -> dict:
-    """The flags the user passed, by the checker's own parameter names; ``prime`` always.
+def _flag_kwargs(func: object, args: argparse.Namespace, command: str) -> dict:
+    """The flags the user passed, by ``func``'s own parameter names; ``prime`` always.
 
-    A flag the checker has no parameter for is a usage error, except ``--seed``,
-    which every id accepts so that one seed can be passed to all of them.
+    A flag ``func`` has no parameter for is a usage error, except ``--seed``,
+    which every verify id and sweep family accepts so that one seed can be
+    passed to all of them.
     """
     params = inspect.signature(func).parameters  # type: ignore[arg-type]
-    skip = {*params, "command", "theorem", "list_theorems", "func", "seed"}
+    skip = {*params, "command", "theorem", "list_theorems", "func", "seed", "family", "format", "out"}
     unread = [f"--{name.replace('_', '-')}" for name, value in vars(args).items()
               if value is not None and name not in skip]
     if unread:
-        raise ValueError(f"verify {args.theorem} takes no {', '.join(unread)}")
+        raise ValueError(f"{command} takes no {', '.join(unread)}")
     kwargs = {}
     for name in params:
         if name == "prime":
@@ -145,7 +149,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         sys.stderr.write(f"error: unknown theorem {args.theorem!r} (see --list-theorems)\n")
         return 2
     _, func = verify.THEOREMS[args.theorem]
-    result = func(**_verify_kwargs(func, args))
+    result = func(**_flag_kwargs(func, args, f"verify {args.theorem}"))
     sys.stdout.write(f"theorem: {result.theorem}\n")
     for row in result.rows:
         status = "INFO" if row.ok is None else ("PASS" if row.ok else "FAIL")
@@ -162,105 +166,68 @@ _SUPERSYM_COLUMNS = (
     "F_poly_sign,sprime_applicable,sprime_genus,sprime_frobenius"
 ).split(",")
 
-_ARITH_COLUMNS = (
-    "m,l,genus,frobenius,conductor,genus_upper,genus_upper_stated,"
-    "best_lower_k,best_lower"
-).split(",")
 
-_GENERIC_COLUMNS = "l,r1,r2,r3,conductor,genus,genus_lower,genus_upper,in_bounds".split(",")
-
-
-def _supersym_row(a: int, b: int, c: int) -> dict:
+def _supersym_row(a: int, b: int, c: int) -> tuple:
     report = severi.excess_supersym(a, b, c)
     # codim = 2 * rho + ab + ac + bc - 7: rho is read back, not computed again
     rho = (report.codim - (a * b + a * c + b * c) + 7) // 2
     try:
-        sprime = supersym.s_prime_invariants(a, b, c)
+        sprime_genus, sprime_frobenius = supersym.s_prime_invariants(a, b, c)
     except supersym.NotApplicableError:
-        sprime = (None, None)
-    return {
-        "a": a,
-        "b": b,
-        "c": c,
-        "genus": report.genus,
-        "frobenius": supersym.frobenius_formula(a, b, c),
-        "rho": rho,
-        "codim": report.codim,
-        "nodal_codim": report.genus,  # (n - 2) * genus in P^3
-        "excess": report.excess,
-        "rhobound1_holds": report.checks["rhobound1"],
-        "F_poly_sign": "nonnegative" if report.checks["f-polynomial"] else "negative",
-        "sprime_applicable": sprime[0] is not None,
-        "sprime_genus": sprime[0],
-        "sprime_frobenius": sprime[1],
-    }
+        sprime_genus = sprime_frobenius = None
+    return (
+        a, b, c, report.genus, supersym.frobenius_formula(a, b, c), rho, report.codim,
+        report.genus,  # nodal_codim: (n - 2) * genus in P^3
+        report.excess, report.checks["rhobound1"],
+        "nonnegative" if report.checks["f-polynomial"] else "negative",
+        sprime_genus is not None, sprime_genus, sprime_frobenius,
+    )
 
 
-def _arith_row(m: int, ell: int) -> dict:
-    s = arith.approximating_semigroup(m, ell)
-    bound = arith.genus_upper(m, ell)
-    best = arith.best_genus_lower(arith.profile_orders(m, ell))
-    stated = bound.stated
-    return {
-        "m": m,
-        "l": ell,
-        "genus": s.genus,
-        "frobenius": s.frobenius,
-        "conductor": s.conductor,
-        "genus_upper": bound.proof_derived,
-        "genus_upper_stated": int(stated) if stated.denominator == 1 else str(stated),
-        "best_lower_k": best.k,
-        "best_lower": best.bound,
-    }
+def _supersym_rows(max_abc: int = 2000, min_a: int = 2) -> Iterator[tuple]:
+    # listed here, so that a bad --min-a fails before --out is opened
+    triples = list(supersym.coprime_triples(max_abc, min_a=min_a))
+    return (_supersym_row(*t) for t in triples)
 
 
-def _generic_row(m: int, ell: int, trials: int, prime: int, seed: int) -> dict:
-    orders = arith.profile_orders(m, ell)
-    emp = series.empirical_generic_semigroup(orders, trials=trials, prime=prime, base_seed=seed)
-    lower = arith.best_genus_lower(orders).bound
-    upper = arith.genus_upper(m, ell).proof_derived
-    r1, r2, r3 = orders
-    return {
-        "l": ell,
-        "r1": r1,
-        "r2": r2,
-        "r3": r3,
-        "conductor": emp.conductor,
-        "genus": emp.genus,
-        "genus_lower": lower,
-        "genus_upper": upper,
-        "in_bounds": lower <= emp.genus <= upper,
-    }
+def _arith_rows(m: range = range(2, 5), l: range = range(4, 13)) -> Iterator[tuple]:
+    for mult, ell in itertools.product(m, l):
+        if ell < 2 * mult:
+            continue
+        s = arith.approximating_semigroup(mult, ell)
+        bound = arith.genus_upper(mult, ell)
+        best = arith.best_genus_lower(arith.profile_orders(mult, ell))
+        stated = int(bound.stated) if bound.stated.denominator == 1 else str(bound.stated)
+        yield mult, ell, s.genus, s.frobenius, s.conductor, bound.proof_derived, stated, best.k, best.bound
 
 
-def _csv_cell(value: object) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    return str(value)
+def _generic_rows(
+    m: range = range(2, 3), l: range = range(4, 9), trials: int = 3,
+    prime: int = series.DEFAULT_PRIME, seed: int = 0,
+) -> Iterator[tuple]:
+    # no m column: r1 = m * l
+    for mult, ell in itertools.product(m, l):
+        orders = arith.profile_orders(mult, ell)
+        emp = series.empirical_generic_semigroup(orders, trials=trials, prime=prime, base_seed=seed)
+        lower = arith.best_genus_lower(orders).bound
+        upper = arith.genus_upper(mult, ell).proof_derived
+        yield ell, *orders, emp.conductor, emp.genus, lower, upper, lower <= emp.genus <= upper
+
+
+# family: (columns, a function whose parameters are named after the family's flags)
+_SWEEPS = {
+    "supersym": (_SUPERSYM_COLUMNS, _supersym_rows),
+    "arith": (
+        "m,l,genus,frobenius,conductor,genus_upper,genus_upper_stated,best_lower_k,best_lower".split(","),
+        _arith_rows,
+    ),
+    "generic": ("l,r1,r2,r3,conductor,genus,genus_lower,genus_upper,in_bounds".split(","), _generic_rows),
+}
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    if args.family == "supersym":
-        # listed here, so that a bad --min-a fails before --out is opened
-        triples = list(supersym.coprime_triples(args.max_abc, min_a=args.min_a))
-        rows = (_supersym_row(*t) for t in triples)
-        columns = _SUPERSYM_COLUMNS
-    elif args.family == "arith":
-        # "is None", not "or": an empty range such as --m 5..2 is falsy but given
-        ms = range(2, 5) if args.m is None else args.m
-        ells = range(4, 13) if args.l is None else args.l
-        rows = (_arith_row(m, ell) for m in ms for ell in ells if ell >= 2 * m)
-        columns = _ARITH_COLUMNS
-    else:  # "generic": argparse admits no other family
-        # no m column: r1 = m * l
-        ms = range(2, 3) if args.m is None else args.m
-        ells = range(4, 9) if args.l is None else args.l
-        prime = _prime(args)
-        rows = (_generic_row(m, ell, args.trials, prime, args.seed) for m in ms for ell in ells)
-        columns = _GENERIC_COLUMNS
-
+    columns, rows_fn = _SWEEPS[args.family]
+    rows = rows_fn(**_flag_kwargs(rows_fn, args, f"sweep --family {args.family}"))
     # an unwritable --out fails here, before the first row; a failing row writes nothing
     with _open_out(args.out) as fh:
         rows = list(rows)
@@ -269,7 +236,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 "toolkit_version": cuspsemi.__version__,
                 "family": args.family,
                 "seed": args.seed,
-                "rows": rows,
+                "rows": [dict(zip(columns, row)) for row in rows],
             }
             fh.write(json.dumps(payload, indent=2) + "\n")
         else:
@@ -277,7 +244,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(columns)
             for row in rows:
-                writer.writerow([_csv_cell(row[col]) for col in columns])
+                # csv writes None as an empty cell
+                writer.writerow([str(v).lower() if isinstance(v, bool) else v for v in row])
     return 0
 
 
@@ -318,11 +286,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="tabulate a parameter family")
     p_sweep.add_argument("--family", choices=("supersym", "arith", "generic"), required=True)
-    p_sweep.add_argument("--max-abc", type=int, default=2000)
-    p_sweep.add_argument("--min-a", type=int, default=2)
+    p_sweep.add_argument("--max-abc", type=int, default=None)
+    p_sweep.add_argument("--min-a", type=int, default=None)
     p_sweep.add_argument("--m", type=_parse_range, default=None, help="LO..HI")
     p_sweep.add_argument("--l", type=_parse_range, default=None, help="LO..HI")
-    p_sweep.add_argument("--trials", type=int, default=3)
+    p_sweep.add_argument("--trials", type=int, default=None)
     p_sweep.add_argument("--seed", type=int, default=0)
     p_sweep.add_argument("--prime", type=int, default=None)
     p_sweep.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -332,11 +300,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    sys.stderr.write(f"warning: {message}\n")
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        with warnings.catch_warnings():
+            # the message alone: Python's default echoes the calling source line
+            warnings.showwarning = _show_warning
+            return args.func(args)
     except SeedDisagreementError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 4

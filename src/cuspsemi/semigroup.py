@@ -78,6 +78,10 @@ def _first_run_start(bits: int, run_length: int) -> int | None:
     return (y & -y).bit_length() - 1
 
 
+# byte i with its eight bits in reverse order, a translate table for is_symmetric
+_REV = bytes(int(f"{i:08b}"[::-1], 2) for i in range(256))
+
+
 class NumericalSemigroup:
     """Numerical semigroup generated by positive integers with gcd 1.
 
@@ -171,7 +175,9 @@ class NumericalSemigroup:
             raise ValueError("symmetry is undefined for the full semigroup N")
         width = self.conductor  # F + 1
         low = self._bits & ((1 << width) - 1)
-        rev = int(format(low, f"0{width}b")[::-1], 2)
+        n = (width + 7) // 8
+        # bit i of low moves to bit width - 1 - i: bytes in reverse order, each byte's bits reversed
+        rev = int.from_bytes(low.to_bytes(n, "little").translate(_REV), "big") >> (8 * n - width)
         return low ^ rev == (1 << width) - 1
 
     def apery(self) -> tuple[int, ...]:

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+import cuspsemi
 from cuspsemi import cli, series, supersym, verify
 from cuspsemi.verify import CheckResult
 
@@ -309,7 +310,55 @@ def test_verify_flags_reach_every_checker_parameter():
         for dest in sorted({*params[name], "seed"}):
             argv += ["--" + dest.replace("_", "-"), flag_values[dest][0]]
         args = parser.parse_args(argv)
-        assert cli._verify_kwargs(func, args) == {p: flag_values[p][1] for p in params[name]}, name
+        assert cli._flag_kwargs(func, args, name) == {p: flag_values[p][1] for p in params[name]}, name
+
+    # every sweep flag but --family, --format and --out is a parameter of some family
+    sweep_flags = set(vars(parser.parse_args(["sweep", "--family", "arith"])))
+    sweep_flags -= {"command", "func", "family", "format", "out"}
+    families = cli._SWEEPS.values()
+    assert sweep_flags == set().union(*(inspect.signature(rows).parameters for _, rows in families))
+
+
+@pytest.mark.parametrize(
+    "argv, unread",
+    [
+        (("supersym", "--max-abc", "200", "--l", "4..5", "--m", "3", "--trials", "9"), "--m, --l, --trials"),
+        (("arith", "--l", "4..6", "--max-abc", "7", "--min-a", "5", "--trials", "9"),
+         "--max-abc, --min-a, --trials"),
+        (("generic", "--max-abc", "9", "--l", "4..4"), "--max-abc"),
+    ],
+    ids=["supersym-m-l-trials", "arith-max-abc-min-a-trials", "generic-max-abc"],
+)
+def test_sweep_rejects_a_flag_its_family_does_not_read(capsys, tmp_path, argv, unread):
+    target = tmp_path / "rows.csv"
+    code, out, err = run_cli(capsys, "sweep", "--family", *argv, "--out", str(target))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: sweep --family {argv[0]} takes no {unread}\n"
+    assert not target.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("supersym", "--max-abc", "60"), ("arith", "--m", "2", "--l", "4"), ("generic", "--l", "4")],
+    ids=["supersym", "arith", "generic"],
+)
+def test_sweep_accepts_seed_for_every_family(capsys, argv):
+    code, out, err = run_cli(capsys, "sweep", "--family", *argv, "--seed", "3")
+    assert (code, err) == (0, "")
+    assert out.startswith(f"# cuspsemi {cuspsemi.__version__} family={argv[0]} seed=3\n")
+    assert len(out.splitlines()) > 2
+
+
+def test_small_ell_warnings_are_one_line_each(capsys):
+    # the message alone, not the source line that raised it
+    code, out, err = run_cli(capsys, "sweep", "--family", "generic", "--l", "2..3")
+    assert code == 0
+    assert out.splitlines()[2:] == ["2,4,6,8,12,6,3,6,true", "3,6,8,10,16,10,5,10,true"]
+    assert err == (
+        "warning: ell=2 is below 2*m=4; the closed forms are outside their hypotheses\n"
+        "warning: ell=3 is below 2*m=4; the closed forms are outside their hypotheses\n"
+    )
 
 
 @pytest.mark.parametrize(

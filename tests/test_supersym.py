@@ -94,8 +94,9 @@ def test_sweep_row_builds_no_semigroup_and_counts_rho_once(monkeypatch):
     # severi imports rho by name, so both bindings are counted
     monkeypatch.setattr(supersym, "rho", counted_rho)
     monkeypatch.setattr(severi, "rho", counted_rho)
+    rho_column = cli._SUPERSYM_COLUMNS.index("rho")
     for t in triples:
-        assert cli._supersym_row(*t)["rho"] == expected[t]
+        assert cli._supersym_row(*t)[rho_column] == expected[t]
     assert counted == triples
 
 
