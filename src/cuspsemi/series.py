@@ -3,7 +3,10 @@
 A ramification profile (r1 < ... < rn) fixes the vanishing orders of the
 coordinate series of a cusp parameterization.  Genericity is emulated by
 drawing the higher coefficients uniformly from a large prime field: each
-coordinate is a truncated power series with leading coefficient 1.  The set of
+coordinate is a truncated power series with leading coefficient 1, drawn from
+its own stream, seeded by the seed and the coordinate's index.  A series drawn
+at one horizon is therefore the truncation of the same series drawn at any
+longer one, so every horizon sees one instance per seed.  The set of
 valuations achieved by the generated algebra below a precision horizon equals
 the pivot-degree set of the echelon form of the monomial coefficient matrix.
 Rows go in by increasing monomial degree and a row only makes pivots at or
@@ -11,8 +14,11 @@ above its own degree, so the achieved set below a degree is final once every
 monomial below it is in; the echelon stops at the first degree below which
 that set holds a run of r1 values, the conductor's.  The result is exact for
 the drawn instance; agreement across independent seeds is the evidence that
-the instance is generic.  Once the conductor is captured and the achieved set
-is checked to be additively closed, the value semigroup is a
+the instance is generic.  The echelon below the stop degree only reads the
+series below it, so once the conductor is captured the result does not depend
+on the horizon; for profiles with gcd 1 the first horizon tried provably
+captures it.  Once the achieved set is checked to be
+additively closed, the value semigroup is a
 :class:`~cuspsemi.semigroup.NumericalSemigroup` like any other.
 
 Every series is one Python integer with a fixed-width slot per degree
@@ -48,8 +54,11 @@ _MIN_PRIME = 1 << 30
 # 3.3 * 10**24, so every modulus below 2**64 is decided exactly.
 _MAX_PRIME = 1 << 64
 _WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-# Horizons tried per seed: start_precision, then up to eight doublings.
-_HORIZON_ATTEMPTS = 9
+# Horizons tried per seed: start_precision, then up to sixteen steps of 3/2.
+# With F the Frobenius number of the orders over their gcd d, the last is at
+# least 256 times 2d(F + 1) + 2, about twice start_precision: the ladder reaches
+# as far as eight doublings from that value would.
+_HORIZON_ATTEMPTS = 17
 
 
 class PrecisionTooSmallError(ValueError):
@@ -273,6 +282,16 @@ def _draw_series(rng: random.Random, valuation: int, precision: int, prime: int)
     return TruncatedSeries(valuation, tuple(coeffs), precision, prime)
 
 
+def _draw_base(orders: Sequence[int], precision: int, prime: int, seed: int) -> list[TruncatedSeries]:
+    """The coordinate series of instance ``seed``: coordinate i from the stream seeded by "seed/i".
+
+    A string seed is hashed with SHA-512, so the streams are the same in every
+    process and distinct for each (seed, i); coefficients are drawn in degree
+    order, so a longer horizon only appends to each series.
+    """
+    return [_draw_series(random.Random(f"{seed}/{i}"), r, precision, prime) for i, r in enumerate(orders)]
+
+
 def random_series(valuation: int, precision: int, prime: int = DEFAULT_PRIME, seed: int = 0) -> TruncatedSeries:
     """Random truncated series: leading coefficient 1, higher ones uniform in F_p."""
     _check_prime(prime)
@@ -380,8 +399,7 @@ def value_semigroup(
     if precision <= orders[-1]:
         raise PrecisionTooSmallError("precision must exceed every order in the profile")
 
-    rng = random.Random(seed)
-    base = [_draw_series(rng, r, precision, prime) for r in orders]
+    base = _draw_base(orders, precision, prime, seed)
 
     memo: dict[tuple[int, ...], TruncatedSeries] = {}
     for i in range(len(orders)):
@@ -416,18 +434,23 @@ def value_semigroup(
 
 
 def start_precision(profile: RamificationProfile | Sequence[int]) -> int:
-    """Initial precision horizon: twice the conductor scale of the profile's monoid.
+    """Initial precision horizon: the conductor scale of the profile's monoid plus r1 + d.
 
-    For orders with gcd d, the relevant scale is d times the conductor of the
-    reduced semigroup generated by orders/d; for d = 1 this is twice the
-    conductor of the generated numerical semigroup, plus a small margin.
+    For orders with gcd d, the scale is d times the conductor c0 of the
+    reduced semigroup generated by orders/d.  For d = 1 the start c0 + r1 + 1
+    always captures the conductor: the monoid lies inside the value semigroup,
+    so the conductor is at most c0 and its run of r1 values lies below
+    c0 + r1, a monomial degree, where the echelon stops at the latest.  For
+    d > 1 it is an estimate, and :func:`capture_conductors` grows it when it
+    falls short.
+    The horizon also exceeds twice the largest order.
     """
     orders = RamificationProfile.of(profile).orders
     d = 0
     for r in orders:
         d = gcd(d, r)
     reduced = NumericalSemigroup(r // d for r in orders)
-    return max(2 * d * (reduced.frobenius + 1) + 2, 2 * orders[-1] + 2)
+    return max(d * (reduced.frobenius + 1) + orders[0] + d, 2 * orders[-1] + 2)
 
 
 def capture_conductors(
@@ -438,8 +461,10 @@ def capture_conductors(
     """The value semigroup of each seed's instance.
 
     This is the only place that grows the precision horizon.  Each seed starts
-    at :func:`start_precision` and doubles the horizon on every
+    at :func:`start_precision` and grows the horizon by half on every
     :class:`PrecisionTooSmallError`, for at most ``_HORIZON_ATTEMPTS`` horizons.
+    A seed draws one instance at every horizon, so the semigroup it returns
+    does not depend on the horizon that captured it.
     The achieved set must hold every value from the conductor it shows through
     its last value, and the members below the conductor must be closed under
     addition: the semigroup generated by them and the r1 values from the
@@ -456,7 +481,7 @@ def capture_conductors(
                 achieved = value_semigroup(prof, precision, prime, seed)
                 break
             except PrecisionTooSmallError:
-                precision *= 2
+                precision += precision // 2
         else:
             raise PrecisionTooSmallError(
                 f"conductor not captured for {prof.orders} after {_HORIZON_ATTEMPTS} horizons"

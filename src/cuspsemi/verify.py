@@ -433,46 +433,57 @@ def check_valuation_lemma(instances: int = 200, seed: int = 0) -> CheckResult:
     return result
 
 
-@_theorem("generic-montecarlo", "Monte-Carlo value semigroups of (2l, 2l+2, 2l+4) profiles")
+@_theorem("generic-montecarlo", "Monte-Carlo value semigroups of m(l, l+1, l+2) profiles")
 def check_generic_montecarlo(
-    l: range = range(4, 11), trials: int = 3, prime: int = series.DEFAULT_PRIME, seed: int = 0
+    m: range = range(2, 3),
+    l: range = range(4, 11),
+    trials: int = 3,
+    prime: int = series.DEFAULT_PRIME,
+    seed: int = 0,
 ) -> CheckResult:
-    """Monte-Carlo sweep for profiles (2l, 2l+2, 2l+4): agreement, containment, bounds.
+    """Monte-Carlo sweep for profiles m(l, l+1, l+2), l >= 2m: agreement, containment, bounds.
 
-    The "seeds agree" row cannot fail: a disagreement raises
+    Failure tags name l alone at m = 2 and m and l otherwise.  The "seeds
+    agree" row cannot fail: a disagreement raises
     :class:`~cuspsemi.series.SeedDisagreementError` (exit 4) before it is written.
     Nor can "profile monoid contained": a profile order missing from the agreed
     semigroup raises :class:`~cuspsemi.series.AchievedSetError` (exit 3) first.
     """
-    def probe(ell: int) -> tuple[bool | list[str], ...]:
-        orders = arith.profile_orders(2, ell)
+    def name(profile: tuple[int, int]) -> str:
+        m, ell = profile
+        return f"ell={ell}" if m == 2 else f"m={m} ell={ell}"
+
+    def probe(profile: tuple[int, int]) -> tuple[bool | list[str], ...]:
+        m, ell = profile
+        tag = name(profile)
+        orders = arith.profile_orders(m, ell)
         emp = series.empirical_generic_semigroup(orders, trials, prime, seed)
 
         # emp is additively closed, so it contains a semigroup when it contains its generators
         bad_contain = []
-        branches = ["general"] if ell % 2 == 0 else ["general", "m2"]
+        branches = ["general", "m2"] if m == 2 and ell % 2 else ["general"]
         for branch in branches:
-            approx = arith.approximating_semigroup(2, ell, branch=branch)
+            approx = arith.approximating_semigroup(m, ell, branch=branch)
             if not all(emp.contains(g) for g in approx.generators):
-                bad_contain.append(f"ell={ell} [{branch}]")
+                bad_contain.append(f"{tag} [{branch}]")
 
         lower = arith.best_genus_lower(orders).bound
-        upper = arith.genus_upper(2, ell).proof_derived
+        upper = arith.genus_upper(m, ell).proof_derived
         within = lower <= emp.genus <= upper
-        bounds = within or [f"ell={ell} (genus {emp.genus} not in [{lower}, {upper}])"]
+        bounds = within or [f"{tag} (genus {emp.genus} not in [{lower}, {upper}])"]
 
         bad_windows, bad_gapwin = [], []
         r1 = orders[0]
         d = 0
         while (window := arith.forbidden_window(orders, d)) is not None:
             if emp.member_count_below(window.stop) > emp.member_count_below(window.start):
-                bad_windows.append(f"ell={ell} d={d}")
+                bad_windows.append(f"{tag} d={d}")
             # gaps in [d*r1, (d+1)*r1], both ends included
             have = r1 + 1 - (
                 emp.member_count_below((d + 1) * r1 + 1) - emp.member_count_below(d * r1)
             )
             if have < len(window):
-                bad_gapwin.append(f"ell={ell} d={d}")
+                bad_gapwin.append(f"{tag} d={d}")
             d += 1
 
         monoid = all(emp.contains(r) for r in orders)
@@ -484,7 +495,8 @@ def check_generic_montecarlo(
         "lower <= genus <= upper", "forbidden windows avoid achieved values",
         "window gap counts", "profile monoid contained",
     )
-    _sweep(result, labels, l, probe, name="ell={}".format)
+    profiles = ((mm, ell) for mm in m for ell in l if ell >= 2 * mm)
+    _sweep(result, labels, profiles, probe, name)
     return result
 
 

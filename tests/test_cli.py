@@ -250,6 +250,15 @@ def test_verify_generic_montecarlo_names_its_trial_count(capsys, trials, label):
     assert "three" not in out
 
 
+def test_verify_generic_montecarlo_reads_m(capsys):
+    # m = 3 at l = 6..10 and m = 4 at l = 8..10; l < 2m is skipped without a warning
+    code, out, err = run_cli(capsys, "verify", "generic-montecarlo", "--m", "3..4", "--l", "6..10")
+    assert code == 0
+    assert out.count("  [8 instances]\n") == 6
+    assert out.endswith("result: PASS\n")
+    assert err == ""
+
+
 def test_verify_unknown_theorem(capsys):
     code, _, err = run_cli(capsys, "verify", "not-a-theorem")
     assert code == 2

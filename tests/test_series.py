@@ -1,4 +1,8 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +20,7 @@ from cuspsemi.series import (
     value_semigroup,
 )
 
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 BIG_PRIME = 18446744073709551557  # the largest prime below 2**64
 PRIMES = (2**31 - 1, 2**61 - 1, BIG_PRIME)
 
@@ -64,8 +69,7 @@ def replay_rows(rows, prime):
 
 def monomial_rows(orders, precision, prime, seed):
     """Every monomial of the instance ``value_semigroup`` draws, below the horizon, in degree order."""
-    rng = random.Random(seed)
-    base = [series._draw_series(rng, r, precision, prime) for r in orders]
+    base = series._draw_base(orders, precision, prime, seed)
     built = {}
     for _, exp in series._exponents_below(orders, precision):
         j = next(i for i, e in enumerate(exp) if e)
@@ -253,9 +257,8 @@ def test_kronecker_product_worst_case_slots():
 
 @pytest.mark.parametrize("prime", PRIMES)
 def test_packed_rows_match_list_reduction(prime):
-    # every monomial below the horizon capture_conductors reaches,
-    # start_precision doubled once: far past the early stop, so that some
-    # rows reduce to zero
+    # every monomial below twice start_precision: far past the early stop,
+    # so that some rows reduce to zero
     orders = (8, 10, 12)
     precision = 2 * start_precision(orders)
     rows = monomial_rows(orders, precision, prime, seed=0)
@@ -302,7 +305,7 @@ def test_early_stop_matches_the_full_horizon_echelon(orders):
                     break
                 with pytest.raises(PrecisionTooSmallError):
                     value_semigroup(orders, precision, prime, seed)
-                precision *= 2
+                precision += precision // 2
             assert value_semigroup(orders, precision, prime, seed) == want
 
 
@@ -319,6 +322,73 @@ def test_early_stop_inserts_85_rows_at_l_14(monkeypatch):
     orders = (28, 30, 32)
     value_semigroup(orders, start_precision(orders), seed=0)
     assert len(rows) == 85
+
+
+def _tag(orders):
+    return "-".join(map(str, orders))
+
+
+@pytest.mark.parametrize(
+    "orders", [(8, 10, 12), (28, 30, 32), (18, 21, 24), (12, 15, 20)], ids=_tag
+)
+def test_draws_and_semigroups_do_not_depend_on_the_horizon(monkeypatch, orders):
+    drawn = series.value_semigroup
+    tried = []
+
+    def record(*args):
+        tried.append(args[1])
+        return drawn(*args)
+
+    monkeypatch.setattr(series, "value_semigroup", record)
+    r1 = orders[0]
+    for seed in (0, 1):
+        short_horizon = start_precision(orders)
+        short = series._draw_base(orders, short_horizon, DEFAULT_PRIME, seed)
+        long = series._draw_base(orders, 3 * short_horizon, DEFAULT_PRIME, seed)
+        for f, g in zip(short, long, strict=True):
+            assert f.valuation == g.valuation
+            assert f.coefficients == g.coefficients[: short_horizon - f.valuation]
+
+        tried.clear()
+        (captured,) = series.capture_conductors(orders, [seed])
+        achieved = drawn(orders, 2 * tried[-1], DEFAULT_PRIME, seed)
+        assert achieved == drawn(orders, tried[-1], DEFAULT_PRIME, seed)
+        conductor = series.detect_conductor(achieved, r1)
+        below = [x for x in achieved[1:] if x < conductor]
+        assert captured == NumericalSemigroup(below + list(range(conductor, conductor + r1)))
+
+
+def test_coordinate_streams_are_distinct_and_fixed_across_processes():
+    orders, precision = (12, 15, 20), 40
+    firsts = [
+        f.coefficients[1]
+        for seed in (0, 1, 2)
+        for f in series._draw_base(orders, precision, DEFAULT_PRIME, seed)
+    ]
+    assert len(set(firsts)) == len(firsts)
+    script = (
+        "from cuspsemi import series; "
+        f"print([f.coefficients[1] for seed in (0, 1, 2) "
+        f"for f in series._draw_base({orders}, {precision}, {DEFAULT_PRIME}, seed)])"
+    )
+    for hash_seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+        out = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+        ).stdout
+        assert out == f"{firsts}\n"
+
+
+@pytest.mark.parametrize(
+    "orders", [(5, 7), (6, 9, 10, 15), (7, 9, 11), (12, 15, 20), (15, 21, 35)], ids=_tag
+)
+def test_gcd_one_profiles_capture_at_the_start(orders):
+    # the monoid's conductor c0 bounds the stop degree by c0 + r1
+    start = start_precision(orders)
+    assert start > NumericalSemigroup(orders).conductor + orders[0]
+    for seed in range(4):
+        assert value_semigroup(orders, start, seed=seed)
 
 
 def test_packed_row_worst_case_slots():

@@ -373,6 +373,9 @@ def test_supersym_imports_nothing_from_series():
 
 
 def test_monte_carlo_drivers_share_one_horizon_limit(monkeypatch):
+    # both drivers try the same horizons for the profile (12, 15, 20) of the
+    # triple (3, 4, 5): start_precision, then steps of 3/2, the last one at or
+    # above the former last horizon, eight doublings of twice the conductor + 2
     attempts = []
 
     def never_captured(profile, precision, prime=series.DEFAULT_PRIME, seed=0):
@@ -382,12 +385,16 @@ def test_monte_carlo_drivers_share_one_horizon_limit(monkeypatch):
     monkeypatch.setattr(series, "value_semigroup", never_captured)
     with pytest.raises(series.PrecisionTooSmallError):
         series.empirical_generic_semigroup((12, 15, 20))
-    generic_attempts = len(attempts)
+    generic_attempts = list(attempts)
     attempts.clear()
     with pytest.raises(series.PrecisionTooSmallError):
         verify.check_supersym_generic_contains(trials=1)
-    assert generic_attempts == len(attempts) == 9
-    assert attempts == [attempts[0] * 2**k for k in range(9)]
+    assert generic_attempts == attempts
+    ladder = [series.start_precision((12, 15, 20))]
+    while len(ladder) < series._HORIZON_ATTEMPTS:
+        ladder.append(ladder[-1] + ladder[-1] // 2)
+    assert attempts == ladder
+    assert attempts[-1] >= (2 * NumericalSemigroup((12, 15, 20)).conductor + 2) * 2**8
 
 
 @pytest.mark.parametrize(
@@ -410,10 +417,17 @@ def test_monte_carlo_drivers_reject_sets_not_closed_under_addition(
         driver()
 
 
-def test_start_precision_covers_twice_abc():
-    # the horizon the abc + 1, abc + 2 question needs is never above the start
+def test_start_precision_captures_supersym_conductors():
+    # the monoid <ab, ac, bc> lies inside the value semigroup, so the echelon
+    # stops by its conductor + ab; abc + 1 and abc + 2 are then asked of the
+    # captured semigroup, which holds every value from its conductor on
     for a, b, c in supersym.coprime_triples(5000):
-        assert series.start_precision(pairwise_products(a, b, c)) >= 2 * a * b * c + 2
+        orders = pairwise_products(a, b, c)
+        monoid = supersym.supersym_semigroup(a, b, c)
+        assert series.start_precision(orders) >= monoid.conductor + orders[0] + 1
+    for triple in ((2, 3, 5), (3, 4, 5), (2, 5, 7), (3, 5, 7)):
+        orders = pairwise_products(*triple)
+        assert series.value_semigroup(orders, series.start_precision(orders), seed=1)
 
 
 @pytest.mark.skipif(

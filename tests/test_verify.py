@@ -238,6 +238,25 @@ def test_montecarlo_row_tags_each_failing_branch(monkeypatch):
     assert [row.ok for row in res.rows] == [True, False, True, True, True, True]
 
 
+def test_montecarlo_row_tags_name_m_above_two(monkeypatch):
+    # odd l at m = 3 takes only the general branch; l = 5 < 2m is skipped
+    approximating = arith.approximating_semigroup
+    monkeypatch.setattr(
+        arith,
+        "approximating_semigroup",
+        lambda m, ell, branch="general": (
+            NumericalSemigroup((1,)) if m == 3 else approximating(m, ell, branch)
+        ),
+    )
+    res = verify.check_generic_montecarlo(m=range(2, 4), l=range(5, 8))
+    assert res.rows[1] == CheckRow(
+        "approximating semigroup contained",
+        False,
+        "failed at m=3 ell=6 [general], m=3 ell=7 [general]",
+    )
+    assert res.rows[0] == CheckRow("three seeds agree", True, "5 instances")
+
+
 def _fake_montecarlo(monkeypatch, fake):
     """Make ``check_generic_montecarlo`` see ``fake(real)`` for the l = 4 profile (8, 10, 12)."""
     empirical = series.empirical_generic_semigroup
