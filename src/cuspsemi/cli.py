@@ -63,54 +63,49 @@ def _open_out(out: str | None) -> contextlib.AbstractContextManager[TextIO]:
     return contextlib.nullcontext(sys.stdout)
 
 
-def _emit_text(text: str, out: str | None) -> None:
-    with _open_out(out) as fh:
-        fh.write(text)
-
-
-def _emit_json(payload: dict, out: str | None) -> None:
-    _emit_text(json.dumps(payload, indent=2) + "\n", out)
-
-
 def cmd_info(args: argparse.Namespace) -> int:
-    s = NumericalSemigroup(args.gens)
-    # a Betti element b has a factorization component without n1 but with some
-    # n_i, so b - n_i lies in the Apery set of n1
-    betti_bound = args.betti_bound if args.betti_bound is not None else max(s.apery()) + s.generators[-1]
-    payload = {
-        "toolkit_version": cuspsemi.__version__,
-        "generators": list(s.generators),
-        "multiplicity": s.multiplicity,
-        "conductor": s.conductor,
-        "frobenius": s.frobenius,
-        "genus": s.genus,
-        "symmetric": s.is_symmetric() if s.conductor > 0 else None,
-        "apery": list(s.apery()),
-        "betti_bound": betti_bound,
-        "betti_up_to": s.betti_elements(betti_bound),
-    }
-    _emit_json(payload, args.out)
+    # an unwritable --out fails here, before any work; a failing run writes nothing
+    with _open_out(args.out) as fh:
+        s = NumericalSemigroup(args.gens)
+        # a Betti element b has a factorization component without n1 but with some
+        # n_i, so b - n_i lies in the Apery set of n1
+        betti_bound = args.betti_bound if args.betti_bound is not None else max(s.apery()) + s.generators[-1]
+        payload = {
+            "toolkit_version": cuspsemi.__version__,
+            "generators": list(s.generators),
+            "multiplicity": s.multiplicity,
+            "conductor": s.conductor,
+            "frobenius": s.frobenius,
+            "genus": s.genus,
+            "symmetric": s.is_symmetric() if s.conductor > 0 else None,
+            "apery": list(s.apery()),
+            "betti_bound": betti_bound,
+            "betti_up_to": s.betti_elements(betti_bound),
+        }
+        fh.write(json.dumps(payload, indent=2) + "\n")
     return 0
 
 
 def cmd_generic(args: argparse.Namespace) -> int:
     prime = _prime(args)
-    emp = series.empirical_generic_semigroup(
-        args.profile, trials=args.trials, prime=prime, base_seed=args.seed
-    )
-    payload = {
-        "toolkit_version": cuspsemi.__version__,
-        "profile": list(args.profile),
-        "prime": prime,
-        "trials": args.trials,
-        "base_seed": args.seed,
-        "seeds": list(range(args.seed, args.seed + args.trials)),
-        "conductor": emp.conductor,
-        "genus": emp.genus,
-        "achieved_below_conductor": [x for x in range(emp.conductor) if emp.contains(x)],
-        "gaps": emp.gaps(),
-    }
-    _emit_json(payload, args.out)
+    # an unwritable --out fails here, before the first draw; a failing run writes nothing
+    with _open_out(args.out) as fh:
+        emp = series.empirical_generic_semigroup(
+            args.profile, trials=args.trials, prime=prime, base_seed=args.seed
+        )
+        payload = {
+            "toolkit_version": cuspsemi.__version__,
+            "profile": list(args.profile),
+            "prime": prime,
+            "trials": args.trials,
+            "base_seed": args.seed,
+            "seeds": list(range(args.seed, args.seed + args.trials)),
+            "conductor": emp.conductor,
+            "genus": emp.genus,
+            "achieved_below_conductor": [x for x in range(emp.conductor) if emp.contains(x)],
+            "gaps": emp.gaps(),
+        }
+        fh.write(json.dumps(payload, indent=2) + "\n")
     return 0
 
 

@@ -93,6 +93,7 @@ class RamificationProfile:
         if any(b <= a for a, b in zip(orders, orders[1:])):
             raise ValueError("orders must be strictly increasing")
 
+    # perfbench/tracer.py reads this name; it goes with ROADMAP item 9's tracer change
     @classmethod
     def of(cls, value: "RamificationProfile | Sequence[int]") -> "RamificationProfile":
         if isinstance(value, cls):
@@ -178,10 +179,10 @@ def _layout_of(prime: int, precision: int) -> _Layout:
 class TruncatedSeries:
     """Power series over F_p known on degrees [valuation, precision).
 
-    ``coefficients[k]`` is the coefficient of t**(valuation + k); the leading
-    coefficient is nonzero.  The series is held as one packed int (``packed``)
-    in the layout of its horizon, with slot k holding ``coefficients[k]``;
-    ``coefficients`` is unpacked when it is first read.
+    The series is one packed int (``packed``) in the layout of its horizon,
+    slot k holding the coefficient of t**(valuation + k); the leading slot is
+    nonzero mod p and every slot is reduced.  ``coefficients`` unpacks the
+    slots when it is first read.
     """
 
     valuation: int
@@ -190,23 +191,7 @@ class TruncatedSeries:
     prime: int
     _layout: _Layout = field(compare=False, repr=False)
 
-    def __init__(self, valuation: int, coefficients: Sequence[int], precision: int, prime: int) -> None:
-        coefficients = tuple(coefficients)
-        if not 0 < valuation < precision:
-            raise ValueError("need 0 < valuation < precision")
-        if len(coefficients) != precision - valuation:
-            raise ValueError("coefficient count must equal precision - valuation")
-        if coefficients[0] % prime == 0:
-            raise ValueError("leading coefficient must be nonzero")
-        if any(not 0 <= x < prime for x in coefficients):
-            raise ValueError("coefficients must be reduced mod the prime")
-        layout = _layout_of(prime, precision)
-        self._set(valuation, layout.pack(coefficients), layout)
-        self.__dict__["coefficients"] = coefficients
-
-    @classmethod
-    def _from_packed(cls, valuation: int, packed: int, layout: _Layout) -> "TruncatedSeries":
-        """The series with slots ``packed``, under the same four checks as the constructor."""
+    def __init__(self, valuation: int, packed: int, layout: _Layout) -> None:
         precision = layout.precision
         if not 0 < valuation < precision:
             raise ValueError("need 0 < valuation < precision")
@@ -216,18 +201,14 @@ class TruncatedSeries:
             raise ValueError("leading coefficient must be nonzero")
         if not layout.is_reduced(packed):
             raise ValueError("coefficients must be reduced mod the prime")
-        series = cls.__new__(cls)
-        series._set(valuation, packed, layout)
-        return series
-
-    def _set(self, valuation: int, packed: int, layout: _Layout) -> None:
         setfield = object.__setattr__
         setfield(self, "valuation", valuation)
         setfield(self, "packed", packed)
-        setfield(self, "precision", layout.precision)
+        setfield(self, "precision", precision)
         setfield(self, "prime", layout.prime)
         setfield(self, "_layout", layout)
 
+    # perfbench/tracer.py reads this name; it goes with ROADMAP item 9's tracer change
     @cached_property
     def coefficients(self) -> tuple[int, ...]:
         return tuple(self._layout.unpack(self.packed, self.precision - self.valuation))
@@ -245,7 +226,7 @@ class TruncatedSeries:
         layout = self._layout
         low = (1 << (self.precision - v) * layout.bits) - 1
         product = (self.packed & low) * (other.packed & low) & low
-        return TruncatedSeries._from_packed(v, layout.reduce(product), layout)
+        return TruncatedSeries(v, layout.reduce(product), layout)
 
 
 def _is_prime(n: int) -> bool:
@@ -278,8 +259,10 @@ def _check_prime(prime: int) -> None:
 
 
 def _draw_series(rng: random.Random, valuation: int, precision: int, prime: int) -> TruncatedSeries:
+    """Leading coefficient 1, the higher ones drawn from ``rng`` in degree order and packed."""
+    layout = _layout_of(prime, precision)
     coeffs = [1] + [rng.randrange(prime) for _ in range(precision - valuation - 1)]
-    return TruncatedSeries(valuation, tuple(coeffs), precision, prime)
+    return TruncatedSeries(valuation, layout.pack(coeffs), layout)
 
 
 def _draw_base(orders: Sequence[int], precision: int, prime: int, seed: int) -> list[TruncatedSeries]:
@@ -290,16 +273,6 @@ def _draw_base(orders: Sequence[int], precision: int, prime: int, seed: int) -> 
     order, so a longer horizon only appends to each series.
     """
     return [_draw_series(random.Random(f"{seed}/{i}"), r, precision, prime) for i, r in enumerate(orders)]
-
-
-def random_series(valuation: int, precision: int, prime: int = DEFAULT_PRIME, seed: int = 0) -> TruncatedSeries:
-    """Random truncated series: leading coefficient 1, higher ones uniform in F_p."""
-    _check_prime(prime)
-    if valuation < 1:
-        raise ValueError("valuation must be positive")
-    if valuation >= precision:
-        raise PrecisionTooSmallError("precision must exceed the valuation")
-    return _draw_series(random.Random(seed), valuation, precision, prime)
 
 
 def _exponents_below(orders: tuple[int, ...], precision: int) -> list[tuple[int, tuple[int, ...]]]:
@@ -369,6 +342,7 @@ def _achieved_bits(achieved: Sequence[int]) -> int:
     return bits
 
 
+# perfbench/tracer.py reads this name; it goes with ROADMAP item 9's tracer change
 def detect_conductor(achieved: Sequence[int], run_length: int) -> int | None:
     """Start of the first run of ``run_length`` consecutive values, if present."""
     return _first_run_start(_achieved_bits(achieved), run_length)

@@ -171,6 +171,15 @@ def test_sweep_out_that_is_a_directory_is_a_usage_error(capsys, monkeypatch, tmp
     assert rows == []  # the file is opened before the first row
 
 
+def test_generic_out_that_is_a_directory_is_a_usage_error(capsys, monkeypatch, tmp_path):
+    draws = _count_calls(monkeypatch, series, "empirical_generic_semigroup")
+    code, out, err = run_cli(capsys, "generic", "--profile", "8,10,12", "--out", str(tmp_path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "Is a directory" in err
+    assert draws == []  # the file is opened before the first draw
+
+
 def test_supersym_sweep_asks_membership_once_per_row(capsys, monkeypatch):
     asked = _count_calls(monkeypatch, supersym, "abc_plus_one_is_member")
     code, out, _ = run_cli(capsys, "sweep", "--family", "supersym", "--max-abc", "300")

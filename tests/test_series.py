@@ -15,7 +15,6 @@ from cuspsemi.series import (
     TruncatedSeries,
     combination_valuation_probe,
     empirical_generic_semigroup,
-    random_series,
     start_precision,
     value_semigroup,
 )
@@ -23,6 +22,12 @@ from cuspsemi.series import (
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 BIG_PRIME = 18446744073709551557  # the largest prime below 2**64
 PRIMES = (2**31 - 1, 2**61 - 1, BIG_PRIME)
+
+
+def build(valuation, coeffs, precision, prime):
+    """The series with coefficients ``coeffs``, packed in the layout of its horizon."""
+    layout = series._layout_of(prime, precision)
+    return TruncatedSeries(valuation, layout.pack(coeffs), layout)
 
 
 def schoolbook_product(f, g):
@@ -33,7 +38,7 @@ def schoolbook_product(f, g):
     for i, ai in enumerate(f.coefficients[:n]):
         for j, bj in enumerate(g.coefficients[: n - i]):
             out[i + j] += ai * bj
-    return TruncatedSeries(v, tuple(x % p for x in out), f.precision, p)
+    return build(v, [x % p for x in out], f.precision, p)
 
 
 def reduce_row_by_lists(pivots, valuation, coeffs, prime):
@@ -92,8 +97,8 @@ def test_profile_validation():
 def test_truncated_series_multiplication():
     # (t^2 + t^3) * (t^3 + 2 t^4) = t^5 + 3 t^6 + 2 t^7
     p = 2**31 - 1
-    f = TruncatedSeries(2, (1, 1, 0, 0, 0, 0), 8, p)
-    g = TruncatedSeries(3, (1, 2, 0, 0, 0), 8, p)
+    f = build(2, (1, 1, 0, 0, 0, 0), 8, p)
+    g = build(3, (1, 2, 0, 0, 0), 8, p)
     h = f * g
     assert h.valuation == 5
     assert h.coefficients == (1, 3, 2)
@@ -101,9 +106,9 @@ def test_truncated_series_multiplication():
 
 
 def test_series_draw_is_seeded():
-    a = random_series(4, 40, DEFAULT_PRIME, seed=7)
-    b = random_series(4, 40, DEFAULT_PRIME, seed=7)
-    c = random_series(4, 40, DEFAULT_PRIME, seed=8)
+    a = series._draw_series(random.Random(7), 4, 40, DEFAULT_PRIME)
+    b = series._draw_series(random.Random(7), 4, 40, DEFAULT_PRIME)
+    c = series._draw_series(random.Random(8), 4, 40, DEFAULT_PRIME)
     assert a == b
     assert a != c
     assert a.coefficients[0] == 1  # monic normalization
@@ -135,7 +140,7 @@ def test_primality_check_matches_trial_division():
 @pytest.mark.parametrize("modulus", [4294967297, 2147483648, 1 << 64, (1 << 89) - 1])
 def test_random_series_and_value_semigroup_reject_unchecked_moduli(modulus):
     with pytest.raises(ValueError, match="prime"):
-        random_series(2, 16, prime=modulus)
+        empirical_generic_semigroup((2, 3), prime=modulus)
     with pytest.raises(ValueError, match="prime"):
         value_semigroup((2, 3), 16, prime=modulus)
 
@@ -201,18 +206,18 @@ def test_combination_valuation_probe():
 
 
 def test_combination_probe_validates_inputs():
-    f = random_series(2, 20, DEFAULT_PRIME, seed=0)
-    g = random_series(3, 30, DEFAULT_PRIME, seed=1)
+    f = series._draw_series(random.Random(0), 2, 20, DEFAULT_PRIME)
+    g = series._draw_series(random.Random(1), 3, 30, DEFAULT_PRIME)
     with pytest.raises(ValueError):
         combination_valuation_probe([f, g], (1, 1))  # mismatched precision
-    h = random_series(3, 20, DEFAULT_PRIME, seed=1)
+    h = series._draw_series(random.Random(1), 3, 20, DEFAULT_PRIME)
     with pytest.raises(ValueError):
         combination_valuation_probe([f, h], (1, 0))  # zero coefficient
 
 
 def test_probe_detects_forced_cancellation():
     # two copies of the same series with opposite signs vanish entirely
-    f = random_series(4, 24, DEFAULT_PRIME, seed=5)
+    f = series._draw_series(random.Random(5), 4, 24, DEFAULT_PRIME)
     assert combination_valuation_probe([f, f], (1, DEFAULT_PRIME - 1)) is None
 
 
@@ -220,7 +225,7 @@ def _sparse_series(rng, valuation, precision, prime):
     coeffs = [rng.randrange(1, prime)] + [
         rng.randrange(prime) if rng.random() < 0.6 else 0 for _ in range(precision - valuation - 1)
     ]
-    return TruncatedSeries(valuation, tuple(coeffs), precision, prime)
+    return build(valuation, coeffs, precision, prime)
 
 
 @pytest.mark.parametrize("prime", PRIMES)
@@ -248,8 +253,8 @@ def test_kronecker_product_worst_case_slots():
     # reduction's range, where the Barrett product needs the whole slot; one
     # byte less and it carries into the next slot
     p, precision = BIG_PRIME, 43
-    f = TruncatedSeries(1, (p - 1,) * (precision - 1), precision, p)
-    g = TruncatedSeries(2, (p - 1,) * (precision - 2), precision, p)
+    f = build(1, (p - 1,) * (precision - 1), precision, p)
+    g = build(2, (p - 1,) * (precision - 2), precision, p)
     h = f * g
     assert h == schoolbook_product(f, g)
     assert h.coefficients == tuple((k + 1) % p for k in range(precision - 3))
@@ -398,10 +403,10 @@ def test_packed_row_worst_case_slots():
     # less and the Barrett step that makes the new pivot carries.
     p, precision = BIG_PRIME, 60
     def pivot_row(d):
-        return TruncatedSeries(d, (1,) + (p - 1,) * (precision - d - 1), precision, p)
+        return build(d, (1,) + (p - 1,) * (precision - d - 1), precision, p)
 
     rows = [pivot_row(d) for d in range(1, precision - 3)]
-    rows.append(TruncatedSeries(1, (1,) + (0,) * (precision - 2), precision, p))
+    rows.append(build(1, (1,) + (0,) * (precision - 2), precision, p))
     (got, packed), (want, lists) = replay_rows(rows, p)
     assert got == want
     assert got[-1] == precision - 3
@@ -479,26 +484,27 @@ def test_packed_constructor_raises_what_the_tuple_constructor_raises(prime):
     layout = series._layout_of(p, precision)
     ok = (1,) + (p - 1,) * 9  # valuation 2
     full = (1 << layout.bits) - 1
+    count = "coefficient count must equal precision - valuation"
+    leading = "leading coefficient must be nonzero"
+    unreduced = "coefficients must be reduced mod the prime"
     cases = [
-        (0, (1,) * 12),  # valuation 0
-        (12, (1,)),  # valuation at the horizon
-        (2, ok + (1,)),  # one coefficient too many
-        (2, (0,) + ok[1:]),  # leading zero
-        (2, (p,) + ok[1:]),  # leading p, zero mod p
-        (2, (1, p) + ok[2:]),
-        (2, ok[:-1] + (2 * p,)),
-        (2, (1, 0, 1 << (layout.bits - 1)) + ok[3:]),
-        (2, (1, full, 0) + ok[3:]),
+        (0, (1,) * 12, "need 0 < valuation < precision"),
+        (12, (1,), "need 0 < valuation < precision"),  # valuation at the horizon
+        (2, ok + (1,), count),  # one coefficient too many
+        (2, (0,) + ok[1:], leading),
+        (2, (p,) + ok[1:], leading),  # zero mod p
+        (2, (1, p) + ok[2:], unreduced),
+        (2, ok[:-1] + (2 * p,), unreduced),
+        (2, (1, 0, 1 << (layout.bits - 1)) + ok[3:], unreduced),
+        (2, (1, full, 0) + ok[3:], unreduced),
     ]
-    for valuation, coeffs in cases:
-        with pytest.raises(ValueError) as by_tuple:
-            TruncatedSeries(valuation, coeffs, precision, p)
-        with pytest.raises(ValueError) as by_packed:
-            TruncatedSeries._from_packed(valuation, layout.pack(coeffs), layout)
-        assert str(by_packed.value) == str(by_tuple.value), (valuation, coeffs)
+    for valuation, coeffs, message in cases:
+        with pytest.raises(ValueError) as raised:
+            TruncatedSeries(valuation, layout.pack(coeffs), layout)
+        assert str(raised.value) == message, (valuation, coeffs)
     with pytest.raises(ValueError, match="reduced"):
-        TruncatedSeries._from_packed(2, -1, layout)
-    assert TruncatedSeries._from_packed(2, layout.pack(ok), layout) == TruncatedSeries(2, ok, precision, p)
+        TruncatedSeries(2, -1, layout)
+    assert TruncatedSeries(2, layout.pack(ok), layout).coefficients == ok
 
 
 @pytest.mark.parametrize("prime", PRIMES)
@@ -516,11 +522,11 @@ def test_products_and_constructed_series_agree_on_eq_and_hash(prime):
             assert hash(product) == hash(built)
             assert len({product, built}) == 1
             assert product.coefficients == built.coefficients
-            assert product == TruncatedSeries(product.valuation, product.coefficients, precision, prime)
+            assert product == build(product.valuation, product.coefficients, precision, prime)
 
 
 def test_series_are_immutable():
-    f = random_series(2, 10, DEFAULT_PRIME, seed=0)
+    f = series._draw_series(random.Random(0), 2, 10, DEFAULT_PRIME)
     with pytest.raises(AttributeError):
         f.valuation = 3
     with pytest.raises(AttributeError):
@@ -553,7 +559,7 @@ def test_valuation_probe_matches_list_sums(prime):
         # slot, cancelled by one more copy times m; with m above precision + 1
         # the sum leaves the reduction's range unless it is reduced on the way
         m = 3 * precision + 1
-        f = TruncatedSeries(1, (prime - 1,) * (precision - 1), precision, prime)
+        f = build(1, (prime - 1,) * (precision - 1), precision, prime)
         fs = [f] * (m + 1)
         coeffs = [prime - 1] * m + [m]
         assert combination_valuation_probe(fs, coeffs) is None

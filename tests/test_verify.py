@@ -364,6 +364,10 @@ def test_benchmark_tracer_targets_resolve(monkeypatch):
         assert callable(getattr(owner, attr, None)), name
     achieved = series.value_semigroup((8, 10, 12), 40)
     assert tracer._horizon((((8, 10, 12), 40), {}, achieved)) == (40, 28)
+    # the product capture reads each operand's and the result's slot count
+    f, g, _ = series._draw_base((8, 10, 12), 40, series.DEFAULT_PRIME, 0)
+    product = f * g
+    assert tracer._mul_capture((f, g), {}, product) == (40 - 8, 40 - 10, 40 - 18)
 
 
 # Work per instance: each checker builds a triple's objects once.
