@@ -12,7 +12,10 @@ already present), and the conductor search finds a run of r set bits by
 ANDing with shifts by 1, 2, 4, ... and one last shift.  Factorizations step
 every coefficient through the one residue class that leaves a remainder
 divisible by the gcd of the generators after it, so every value tried at the
-last two generators is a solution.
+last two generators is a solution.  The Apery set and the Betti elements
+are read from the membership bitmask by shifts, ANDs and ORs over whole
+masks: one shift for the Apery set, k^3 for the Betti elements of k
+generators.
 """
 
 from __future__ import annotations
@@ -76,6 +79,17 @@ def _first_run_start(bits: int, run_length: int) -> int | None:
     if not y:
         return None
     return (y & -y).bit_length() - 1
+
+
+def _set_bits(x: int) -> list[int]:
+    """Indices of the set bits of ``x >= 0``, in increasing order."""
+    digits = f"{x:b}"[::-1]
+    out = []
+    i = digits.find("1")
+    while i >= 0:
+        out.append(i)
+        i = digits.find("1", i + 1)
+    return out
 
 
 # byte i with its eight bits in reverse order, a translate table for is_symmetric
@@ -184,14 +198,18 @@ class NumericalSemigroup:
         """Apery set with respect to the multiplicity m, as a tuple.
 
         Entry i is the least member congruent to i mod m, so entry 0 is 0.
+        A member w is the least of its class exactly when w - m is not a
+        member (Rosales and Garcia-Sanchez, *Numerical Semigroups*, 2009, the
+        chapter on notable elements), so Ap(S, m) is the set bits of
+        ``bits & ~(bits << m)``.  Every entry is at most F + m < extent + m, so
+        the bitmask is widened with ones to extent + m bits.
         """
-        n = self.multiplicity
-        entries = []
-        for i in range(n):
-            x = i
-            while not self.contains(x):
-                x += n
-            entries.append(x)
+        m = self.multiplicity
+        extent = self._extent
+        bits = self._bits | ((1 << (extent + m)) - (1 << extent))
+        entries = [0] * m
+        for w in _set_bits(bits & ~(bits << m)):
+            entries[w % m] = w
         return tuple(entries)
 
     def factorizations(self, s: int) -> list[tuple[int, ...]]:
@@ -242,30 +260,37 @@ class NumericalSemigroup:
 
         Vertices are the factorizations of s; edges join factorizations whose
         supports share a generator.  An empty or singleton factorization set
-        counts as connected.  Connectivity is decided by merging the supports,
-        which yields exactly the connected components of the graph.
+        counts as connected.  The components of that graph match one to one
+        the components of the graph G_s whose vertices are the i with
+        s - n_i in S, with i and j joined when s - n_i - n_j is in S (Rosales
+        and Garcia-Sanchez, *Numerical Semigroups*, 2009, the chapter on
+        presentations): the support of a factorization is a clique of G_s,
+        and both ends of an edge ij lie in the support of one factorization.
+        So every s <= bound is decided at once, one bit each:
+        V_i = members << n_i, E_ij = members << (n_i + n_j), Floyd-Warshall
+        over the k x k masks, and s is a Betti element when some V_i & V_j
+        has no path from i to j.  Nothing is enumerated.
         """
-        out = []
-        for s in range(1, bound + 1):
-            if not self.contains(s):
-                continue
-            facs = self.factorizations(s)
-            if len(facs) < 2:
-                continue
-            comps: list[set[int]] = []
-            for fac in facs:
-                new = {i for i, e in enumerate(fac) if e}
-                rest = []
-                for comp in comps:
-                    if comp & new:
-                        new |= comp
-                    else:
-                        rest.append(comp)
-                rest.append(new)
-                comps = rest
-            if len(comps) > 1:
-                out.append(s)
-        return out
+        width = max(bound + 1, 0)
+        mask = (1 << width) - 1
+        # membership of every s <= bound: the bitmask, then ones from the extent
+        members = self._bits | (mask >> self._extent << self._extent)
+        gens = self.generators
+        k = len(gens)
+        reach = [[(members << (gi + gj)) & mask for gj in gens] for gi in gens]
+        for l in range(k):
+            row_l = reach[l]
+            for row_i in reach:
+                r_il = row_i[l]
+                if r_il:
+                    for j in range(k):
+                        row_i[j] |= r_il & row_l[j]
+        vertex = [(members << g) & mask for g in gens]
+        split = 0
+        for i in range(k):
+            for j in range(i + 1, k):
+                split |= vertex[i] & vertex[j] & ~reach[i][j]
+        return _set_bits(split)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, NumericalSemigroup):

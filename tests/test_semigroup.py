@@ -59,6 +59,43 @@ def recursive_factorizations(gens, s):
     return out
 
 
+def enumeration_betti(s, bound):
+    """Betti elements by merging the supports of every factorization of every member (reference)."""
+    out = []
+    for x in range(1, bound + 1):
+        if not s.contains(x):
+            continue
+        facs = s.factorizations(x)
+        if len(facs) < 2:
+            continue
+        comps = []
+        for fac in facs:
+            new = {i for i, e in enumerate(fac) if e}
+            rest = []
+            for comp in comps:
+                if comp & new:
+                    new |= comp
+                else:
+                    rest.append(comp)
+            rest.append(new)
+            comps = rest
+        if len(comps) > 1:
+            out.append(x)
+    return out
+
+
+def residue_walk_apery(s):
+    """Apery set by walking each residue class up to its first member (reference)."""
+    n = s.multiplicity
+    entries = []
+    for i in range(n):
+        x = i
+        while not s.contains(x):
+            x += n
+        entries.append(x)
+    return tuple(entries)
+
+
 def test_basic_invariants():
     s = NumericalSemigroup((6, 10, 15))
     assert s.multiplicity == 6
@@ -168,6 +205,42 @@ def test_betti_generic_five_generators():
     # every betti element has at least two factorizations
     for b in betti:
         assert len(s.factorizations(b)) >= 2
+
+
+def test_apery_and_betti_match_the_enumeration_on_random_semigroups():
+    rng = random.Random(24)
+    seen = 0
+    while seen < 1000:
+        gens = [rng.randint(1, 45) for _ in range(rng.randint(1, 6))]
+        if gcd(*gens) != 1:
+            continue
+        seen += 1
+        s = NumericalSemigroup(gens)
+        apery = s.apery()
+        assert apery == residue_walk_apery(s), gens
+        b = max(apery) + s.generators[-1]
+        # the enumeration scans 1..bound, so one scan at the largest bound serves all five
+        betti = enumeration_betti(s, b + 17)
+        for bound in (0, 1, b // 2, b, b + 17):
+            assert s.betti_elements(bound) == [x for x in betti if x <= bound], (gens, bound)
+
+
+def test_betti_elements_beyond_the_enumeration():
+    # Herzog: the Betti elements of <n1, n2, n3> are the c_i * n_i, here
+    # 3 * 1000 = 2 * 1500 and 500 * 1001
+    s = NumericalSemigroup((1000, 1001, 1500))
+    assert s.betti_elements(max(s.apery()) + 1500) == [3000, 500500]
+
+
+def test_betti_elements_and_apery_enumerate_nothing(monkeypatch):
+    def forbidden(self, *args, **kwargs):
+        raise AssertionError("enumerated factorizations or walked membership")
+
+    s = NumericalSemigroup((8, 10, 12, 21, 25))
+    monkeypatch.setattr(NumericalSemigroup, "factorizations", forbidden)
+    monkeypatch.setattr(NumericalSemigroup, "contains", forbidden)
+    assert s.apery() == (0, 25, 10, 35, 12, 21, 22, 31)
+    assert s.betti_elements(60) == [20, 24, 33, 37, 42, 46, 50]
 
 
 def test_symmetry_versus_gap_count():

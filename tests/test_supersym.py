@@ -430,9 +430,5 @@ def test_start_precision_captures_supersym_conductors():
         assert series.value_semigroup(orders, series.start_precision(orders), seed=1)
 
 
-@pytest.mark.skipif(
-    not os.environ.get("CUSPSEMI_SLOW"),
-    reason="full factorization-graph sweep takes about 8 s; set CUSPSEMI_SLOW=1",
-)
 def test_betti_full_sweep():
     assert verify.check_betti_supersym(max_abc=2000).passed
