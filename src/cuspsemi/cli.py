@@ -68,11 +68,7 @@ def cmd_info(args: argparse.Namespace) -> int:
     with _open_out(args.out) as fh:
         s = NumericalSemigroup(args.gens)
         # a Betti element b has a factorization component without n1 but with some
-        # n_i, so b - n_i lies in the Apery set of n1, the members w with w - n1
-        # not a member.  Betti elements are read from membership alone: the
-        # factorization components of b are the components of the graph on the i
-        # with b - n_i in S, i and j joined when b - n_i - n_j is in S (Rosales and
-        # Garcia-Sanchez, Numerical Semigroups, 2009, the chapter on presentations)
+        # n_i, so b - n_i lies in the Apery set of n1
         betti_bound = args.betti_bound if args.betti_bound is not None else max(s.apery()) + s.generators[-1]
         payload = {
             "toolkit_version": cuspsemi.__version__,

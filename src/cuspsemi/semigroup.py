@@ -5,17 +5,13 @@ that contains 0 and has a finite complement (the gaps).  Everything here is exac
 integer arithmetic; membership below the table extent is stored as a bitmask and
 every integer at or above the conductor is a member by construction.
 
-The kernels take logarithmically many big-integer steps, or, at the last
-level of a factorization, one step per solution.  The sieve ORs in each
-generator shifted by g, 2g, 4g, ... (each shift doubles the multiples of g
-already present), and the conductor search finds a run of r set bits by
-ANDing with shifts by 1, 2, 4, ... and one last shift.  Factorizations step
-every coefficient through the one residue class that leaves a remainder
-divisible by the gcd of the generators after it, so every value tried at the
-last two generators is a solution.  The Apery set and the Betti elements
-are read from the membership bitmask by shifts, ANDs and ORs over whole
-masks: one shift for the Apery set, k^3 for the Betti elements of k
-generators.
+The kernels take logarithmically many big-integer steps.  The sieve ORs in
+each generator shifted by g, 2g, 4g, ... (each shift doubles the multiples of
+g already present), and the conductor search finds a run of r set bits by
+ANDing with shifts by 1, 2, 4, ... and one last shift.  The Apery set and the
+Betti elements are read from the membership bitmask by shifts, ANDs and ORs
+over whole masks: one shift for the Apery set, k^3 for the Betti elements of
+k generators.  Factorizations are a brute-force recursion, for cross-checks.
 """
 
 from __future__ import annotations
@@ -44,23 +40,6 @@ def _reach(gens: tuple[int, ...], limit: int) -> int:
             bits = (bits | (bits << shift)) & mask
             shift <<= 1
     return bits
-
-
-def _level_steps(gens: tuple[int, ...]) -> tuple[tuple[int, int, int], ...]:
-    """(e, step, inverse) for each generator but the last, for ``factorizations``.
-
-    For level i with D = gcd(gens[i+1:]), e = gcd(gens[i], D) and step = D / e,
-    ``rem - a * gens[i]`` is divisible by D exactly when
-    a = (rem / e) * inverse mod step, where inverse = (gens[i] / e)^-1 mod step.
-    """
-    rows = []
-    tail = 0
-    for i in range(len(gens) - 1, 0, -1):
-        tail = gcd(tail, gens[i])
-        e = gcd(gens[i - 1], tail)
-        step = tail // e
-        rows.append((e, step, pow(gens[i - 1] // e, -1, step)))
-    return tuple(reversed(rows))
 
 
 def _first_run_start(bits: int, run_length: int) -> int | None:
@@ -102,12 +81,10 @@ class NumericalSemigroup:
     The conductor is detected as the first index starting a run of
     ``min(generators)`` consecutive members: once that many consecutive elements
     are present, adding the multiplicity repeatedly fills in everything beyond.
-    Instances are immutable and safe to share across threads; the step table of
-    ``factorizations`` is filled on first use, and threads racing to fill it
-    store equal tables.
+    Instances are immutable and safe to share across threads.
     """
 
-    __slots__ = ("generators", "conductor", "_bits", "_extent", "_steps")
+    __slots__ = ("generators", "conductor", "_bits", "_extent")
 
     def __init__(self, generators: Iterable[int]) -> None:
         gens = tuple(sorted({int(g) for g in generators}))
@@ -144,7 +121,6 @@ class NumericalSemigroup:
         self.conductor = start
         self._extent = extent
         self._bits = bits & ((1 << extent) - 1)
-        self._steps: tuple[tuple[int, int, int], ...] | None = None
 
     @property
     def multiplicity(self) -> int:
@@ -216,41 +192,27 @@ class NumericalSemigroup:
         """All nonnegative coefficient vectors over the generators summing to ``s``.
 
         Returned in lexicographic order; empty exactly when ``s`` is not a member.
-        Each level leaves a remainder divisible by D, the gcd of the generators
-        after it, so it steps its coefficient through the one residue class mod
-        D / gcd(g, D) that does so (see ``_level_steps``), in increasing order.
-        At the last two generators every value of that class below rem / g + 1
-        is a solution.  The step table is computed on the first call, because
-        most semigroups built never enumerate.
+        Each level tries every coefficient from 0 up, and the last generator
+        takes the remainder when it divides it.
         """
         if s < 0:
             raise ValueError("element must be nonnegative")
         gens = self.generators
-        k = len(gens)
-        if k == 1:
-            q, r = divmod(s, gens[0])
-            return [(q,)] if r == 0 else []
-        steps = self._steps
-        if steps is None:
-            steps = self._steps = _level_steps(gens)
-        last = k - 2
-        h = gens[-1]
+        last = len(gens) - 1
         out: list[tuple[int, ...]] = []
-        vec = [0] * k
+        vec = [0] * len(gens)
 
         def descend(i: int, rem: int) -> None:
-            c = gens[i]
-            e, step, inv = steps[i]
-            first = rem // e * inv % step
+            g = gens[i]
             if i == last:
-                for a in range(first, rem // c + 1, step):
-                    vec[i] = a
-                    vec[i + 1] = (rem - a * c) // h
+                q, r = divmod(rem, g)
+                if r == 0:
+                    vec[i] = q
                     out.append(tuple(vec))
                 return
-            for a in range(first, rem // c + 1, step):
+            for a in range(rem // g + 1):
                 vec[i] = a
-                descend(i + 1, rem - a * c)
+                descend(i + 1, rem - a * g)
 
         descend(0, s)
         return out

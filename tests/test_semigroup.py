@@ -7,7 +7,6 @@ from cuspsemi.semigroup import (
     GcdNotOneError,
     NumericalSemigroup,
     _first_run_start,
-    _level_steps,
     _reach,
 )
 
@@ -38,25 +37,22 @@ def linear_run_start(bits, run_length):
     return (y & -y).bit_length() - 1
 
 
-def recursive_factorizations(gens, s):
-    """Every factorization, trying each value of every coefficient (reference)."""
-    k = len(gens)
-    out = []
-    vec = [0] * k
+def factorization_counts(gens, limit):
+    """Number of factorizations of each x <= limit, by the coin-change table (reference)."""
+    count = [1] + [0] * limit
+    for g in gens:
+        for x in range(g, limit + 1):
+            count[x] += count[x - g]
+    return count
 
-    def descend(i, rem):
-        if i == k - 1:
-            q, r = divmod(rem, gens[i])
-            if r == 0:
-                vec[i] = q
-                out.append(tuple(vec))
-            return
-        for a in range(rem // gens[i] + 1):
-            vec[i] = a
-            descend(i + 1, rem - a * gens[i])
 
-    descend(0, s)
-    return out
+def assert_every_factorization(gens, x, facs, count):
+    # valid, distinct and as many as there are factorizations: so all of them
+    for f in facs:
+        assert len(f) == len(gens) and min(f) >= 0, (gens, x, f)
+        assert sum(e * g for e, g in zip(f, gens)) == x, (gens, x, f)
+    assert all(p < q for p, q in zip(facs, facs[1:])), (gens, x)
+    assert len(facs) == count, (gens, x)
 
 
 def enumeration_betti(s, bound):
@@ -327,8 +323,10 @@ def test_factorizations_match_recursion_on_random_semigroups():
             continue
         seen += 1
         s = NumericalSemigroup(gens)
-        for x in rng.choices(range(s.conductor + 2 * gens[-1]), k=25):
-            assert s.factorizations(x) == recursive_factorizations(s.generators, x), (gens, x)
+        limit = s.conductor + 2 * gens[-1]
+        counts = factorization_counts(gens, limit)
+        for x in rng.choices(range(limit), k=25):
+            assert_every_factorization(gens, x, s.factorizations(x), counts[x])
 
 
 @pytest.mark.parametrize(
@@ -346,34 +344,16 @@ def test_factorizations_match_recursion_on_random_semigroups():
     ],
 )
 def test_factorizations_edge_cases(gens):
-    # last two generators sharing a factor (6, 9), five generators, two generators;
-    # the gcd of the later generators above 1 at two or more levels: (12, 20, 30, 45)
-    # steps by 5, 3, 3, (30, 42, 70, 105) by 7, 5, 3, and the supersymmetric
-    # <15, 21, 35> = (3, 5, 7) by 7, 5
+    # last two generators sharing a factor (6, 9), five generators, two generators,
+    # later generators with a common factor at several levels (12, 20, 30, 45) and
+    # (30, 42, 70, 105), and the supersymmetric <15, 21, 35> = (3, 5, 7)
     s = NumericalSemigroup(gens)
     k = len(s.generators)
     assert s.factorizations(0) == [(0,) * k]
-    for x in range(s.conductor + 3 * s.generators[-1]):
-        facs = s.factorizations(x)
-        assert facs == recursive_factorizations(s.generators, x)
-        assert facs == sorted(facs)
-
-
-def test_level_steps_solve_each_level():
-    # 12 * 3 = 1 mod 5, 20 / 5 = 4 = 1 mod 3, 30 / 15 * 2 = 1 mod 3
-    assert _level_steps((12, 20, 30, 45)) == ((1, 5, 3), (5, 3, 1), (15, 3, 2))
-    assert _level_steps((2, 3)) == ((1, 3, 2),)
-    # coprime later generators leave nothing to solve: step 1 from 0
-    assert _level_steps((3, 5, 7)) == ((1, 1, 0), (1, 7, 3))
-
-
-def test_factorizations_step_table_is_per_instance():
-    # interleaved calls on semigroups whose levels step differently
-    a = NumericalSemigroup((12, 20, 30, 45))
-    b = NumericalSemigroup((7, 9, 11, 12, 15))
-    for x in range(0, 400, 7):
-        for s in (a, b, a):
-            assert s.factorizations(x) == recursive_factorizations(s.generators, x), (s, x)
+    limit = s.conductor + 3 * s.generators[-1]
+    counts = factorization_counts(s.generators, limit)
+    for x in range(limit):
+        assert_every_factorization(s.generators, x, s.factorizations(x), counts[x])
 
 
 def test_factorizations_single_generator():

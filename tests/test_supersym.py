@@ -300,7 +300,7 @@ def test_unique_factorization_below_abc():
         s = supersym.supersym_semigroup(a, b, c)
         for n in range(a * b * c):
             if n in s:
-                assert len(supersym.abc_all_factorizations(a, b, c, n)) == 1
+                assert len(s.factorizations(n)) == 1, (a, b, c, n)
 
 
 def test_residue_triples():

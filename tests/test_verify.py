@@ -220,6 +220,21 @@ def test_membership_mismatch_ends_the_scan_of_its_triple(monkeypatch):
     ]
 
 
+def test_betti_element_below_abc_fails_the_uniqueness_row(monkeypatch):
+    betti = NumericalSemigroup.betti_elements
+    monkeypatch.setattr(
+        NumericalSemigroup,
+        "betti_elements",
+        lambda self, bound: [6] if self.generators == (6, 14, 21) else betti(self, bound),
+    )
+    res = verify.check_unique_factorization(max_abc=120, samples=3)
+    assert res.rows == [
+        CheckRow("normal-form membership = sieve", True, "13 instances"),
+        CheckRow("unique factorization below abc", False, "failed at (2,3,7) n=6"),
+        CheckRow("shifted enumeration = brute force", True, "3 instances"),
+    ]
+
+
 def test_montecarlo_row_tags_each_failing_branch(monkeypatch):
     approximating = arith.approximating_semigroup
     monkeypatch.setattr(
@@ -398,6 +413,13 @@ def test_unique_factorization_builds_each_semigroup_once(monkeypatch):
     calls = _count_calls(monkeypatch, supersym, "supersym_semigroup")
     assert verify.check_unique_factorization().passed
     assert len(calls) == len(set(calls)) == 192
+
+
+def test_unique_factorization_takes_one_normal_form_per_element(monkeypatch):
+    # one per n < abc over the 192 triples, and one per sample
+    calls = _count_calls(monkeypatch, supersym, "abc_normal_form")
+    assert verify.check_unique_factorization().passed
+    assert len(calls) == 71_039 + 40
 
 
 def test_sprime_enumerates_the_triples_once(monkeypatch):
