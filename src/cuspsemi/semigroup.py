@@ -8,10 +8,16 @@ every integer at or above the conductor is a member by construction.
 The kernels take logarithmically many big-integer steps.  The sieve ORs in
 each generator shifted by g, 2g, 4g, ... (each shift doubles the multiples of
 g already present), and the conductor search finds a run of r set bits by
-ANDing with shifts by 1, 2, 4, ... and one last shift.  The Apery set and the
-Betti elements are read from the membership bitmask by shifts, ANDs and ORs
-over whole masks: one shift for the Apery set, k^3 for the Betti elements of
-k generators.  Factorizations are a brute-force recursion, for cross-checks.
+ANDing with shifts by 1, 2, 4, ... and one last shift.  Each semigroup is
+sieved in one pass, up to a bound on its Frobenius number plus the largest
+generator.  The bound is the smaller of Brauer's (Amer. J. Math. 64, 1942),
+exact on <ab, ac, bc>, and Erdos and Graham's (Acta Arith. 21, 1972), the
+smaller one for many generators.  The conductor is the sieve's first run
+of m members, never the bound, so a bound that fell short would raise instead
+of giving a wrong semigroup.  The Apery set and the Betti elements are read
+from the membership bitmask by shifts, ANDs and ORs over whole masks: one
+shift for the Apery set, k^3 for the Betti elements of k generators.
+Factorizations are a brute-force recursion, for cross-checks.
 """
 
 from __future__ import annotations
@@ -81,6 +87,7 @@ class NumericalSemigroup:
     The conductor is detected as the first index starting a run of
     ``min(generators)`` consecutive members: once that many consecutive elements
     are present, adding the multiplicity repeatedly fills in everything beyond.
+    One sieve pass, sized by a Frobenius bound, covers that run and the table.
     Instances are immutable and safe to share across threads.
     """
 
@@ -92,30 +99,30 @@ class NumericalSemigroup:
             raise ValueError("at least one generator is required")
         if gens[0] < 1:
             raise ValueError("generators must be positive")
-        g = 0
-        for n in gens:
-            g = gcd(g, n)
-        if g != 1:
-            raise GcdNotOneError(f"gcd of generators {gens} is {g}, not 1")
-
         mult = gens[0]
         top = gens[-1]
-        # Schur bound: the Frobenius number is below mult * top, so the search
-        # is guaranteed to terminate within a few doublings.
-        cap = mult * top + top + mult + 2
-        limit = 2 * top + 2
-        while True:
-            bits = _reach(gens, limit)
-            start = _first_run_start(bits, mult)
-            if start is None:
-                limit *= 2
-                if limit > 4 * cap:
-                    raise RuntimeError("conductor search exceeded the Schur bound")
-                continue
-            extent = start + top
-            if extent <= limit:
-                break
-            limit = extent
+        k = len(gens)
+        # Brauer's bound (Amer. J. Math. 64, 1942): with d_i the gcd of the
+        # first i generators, F <= sum over i < k of g_{i+1} * (d_i / d_{i+1} - 1),
+        # minus g_1.  It is exact on telescopic sequences such as <ab, ac, bc>.
+        bound = -mult
+        d = mult
+        for n in gens[1:]:
+            e = gcd(d, n)
+            bound += n * (d // e - 1)
+            d = e
+        if d != 1:
+            raise GcdNotOneError(f"gcd of generators {gens} is {d}, not 1")
+        if k >= 2:
+            # Erdos and Graham (Acta Arith. 21, 1972): F <= 2 * g_{k-1} * floor(g_k / k) - g_k
+            bound = min(bound, 2 * gens[-2] * (top // k) - top)
+        # One sieve pass: the run of mult members at the conductor and the table
+        # up to the extent conductor + top both lie below bound + 1 + top.
+        bits = _reach(gens, bound + 1 + top)
+        start = _first_run_start(bits, mult)
+        if start is None or start > bound + 1:
+            raise RuntimeError(f"conductor of {gens} exceeds the Frobenius bound {bound} + 1")
+        extent = start + top
 
         self.generators = gens
         self.conductor = start

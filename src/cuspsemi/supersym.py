@@ -220,6 +220,26 @@ def abc_member(a: int, b: int, c: int, n: int) -> bool:
     return abc_normal_form(a, b, c, n)[2] >= 0
 
 
+def abc_members_below(a: int, b: int, c: int, t: int) -> list[bool]:
+    """Normal-form membership in <ab, ac, bc> of every 0 <= n < t, as a list.
+
+    The reduction of :func:`abc_normal_form` with the triple checked and the
+    inverses of ab mod c and ac mod b computed once for all n.
+    """
+    ab, ac, bc = pairwise_products(a, b, c)
+    ab_inv = pow(ab, -1, c)
+    ac_inv = pow(ac, -1, b)
+    out = []
+    for n in range(t):
+        z, r = divmod(n - n * ab_inv % c * ab - n * ac_inv % b * ac, bc)
+        if r != 0:
+            raise MethodMismatchError(
+                f"abc_members_below({a},{b},{c},{t}): Chinese-remainder reduction of {n} leaves {r}"
+            )
+        out.append(z >= 0)
+    return out
+
+
 def abc_all_factorizations(a: int, b: int, c: int, n: int) -> tuple[tuple[int, int, int], ...]:
     """All nonnegative (x, y, z) with x*ab + y*ac + z*bc = n, in ascending order.
 

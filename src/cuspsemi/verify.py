@@ -272,8 +272,8 @@ def check_unique_factorization(max_abc: int = 600, samples: int = 40, seed: int 
         # generator n_i would give x - n_i two factorizations.
         betti = s.betti_elements(a * b * c - 1)
         unique = not betti or [f"({a},{b},{c}) n={betti[0]}"]
-        for n in range(a * b * c):
-            if supersym.abc_member(a, b, c, n) != s.contains(n):
+        for n, member in enumerate(supersym.abc_members_below(a, b, c, a * b * c)):
+            if member != s.contains(n):
                 return [f"({a},{b},{c}) n={n}"], unique
         return True, unique
 

@@ -3,6 +3,7 @@ from math import gcd
 
 import pytest
 
+from cuspsemi import arith, semigroup, series, supersym
 from cuspsemi.semigroup import (
     GcdNotOneError,
     NumericalSemigroup,
@@ -23,6 +24,22 @@ def fixpoint_reach(gens, limit):
             prev = bits
             bits = (bits | (bits << g)) & mask
     return bits
+
+
+def brauer_bound(gens):
+    """Brauer's bound sum g_{i+1} d_i / d_{i+1} - sum g_i, d_i = gcd(g_1..g_i) (reference)."""
+    gens = sorted(set(gens))
+    ds = [gens[0]]
+    for g in gens[1:]:
+        ds.append(gcd(ds[-1], g))
+    return sum(gens[i + 1] * ds[i] // ds[i + 1] for i in range(len(gens) - 1)) - sum(gens)
+
+
+def erdos_graham_bound(gens):
+    """Erdos-Graham bound 2 g_{k-1} floor(g_k / k) - g_k for k >= 2 generators (reference)."""
+    gens = sorted(set(gens))
+    k = len(gens)
+    return 2 * gens[-2] * (gens[-1] // k) - gens[-1]
 
 
 def linear_run_start(bits, run_length):
@@ -360,3 +377,109 @@ def test_factorizations_single_generator():
     n = NumericalSemigroup((1,))
     for x in range(20):
         assert n.factorizations(x) == [(x,)]
+
+
+def one_pass_cases():
+    """Random gcd-1 sets with k = 1..8, intervals, sets with 1, triples with no coprime pair."""
+    rng = random.Random(20261019)
+    cases = [(1,), (2, 3), (6, 10, 15), (10, 12, 15), (1, 7, 9), tuple(range(5, 10))]
+    while len(cases) < 160:
+        k = rng.randint(1, 8)
+        gens = {rng.randint(1, rng.choice((12, 40, 150))) for _ in range(k)}
+        if gcd(*gens) == 1:
+            cases.append(tuple(gens))
+    for _ in range(20):
+        lo = rng.randint(2, 60)
+        cases.append(tuple(range(lo, lo + rng.randint(2, 12))))
+        cases.append((1, *(rng.randint(2, 100) for _ in range(rng.randint(0, 4)))))
+    while len(cases) < 220:
+        t = tuple(rng.randint(4, 150) for _ in range(3))
+        if gcd(*t) == 1 and min(gcd(t[0], t[1]), gcd(t[0], t[2]), gcd(t[1], t[2])) > 1:
+            cases.append(t)
+    return cases
+
+
+def test_one_pass_build_matches_the_fixpoint_oracle():
+    for gens in one_pass_cases():
+        s = NumericalSemigroup(gens)
+        limit = min(gens) * max(gens) + max(gens) + 1  # past Schur's (g_1 - 1)(g_k - 1)
+        oracle = fixpoint_reach(sorted(set(gens)), limit)
+        holes = ((1 << limit) - 1) ^ oracle
+        assert s.conductor == holes.bit_length(), gens
+        assert s.gaps() == [x for x in range(s.conductor) if holes >> x & 1], gens
+        assert all(x in s for x in range(s.conductor, s.conductor + max(gens) + 2)), gens
+
+
+def test_conductor_is_within_both_frobenius_bounds():
+    for gens in one_pass_cases():
+        f = NumericalSemigroup(gens).frobenius
+        assert f <= brauer_bound(gens), gens
+        if len(set(gens)) >= 2:
+            assert f <= erdos_graham_bound(gens), gens
+    # Brauer's bound is exact on the telescopic <ab, ac, bc>
+    for a, b, c in [(2, 3, 5), (3, 4, 5), (4, 5, 9), (5, 7, 11)]:
+        gens = supersym.pairwise_products(a, b, c)
+        assert brauer_bound(gens) == NumericalSemigroup(gens).frobenius
+
+
+def record_sieve_limits(monkeypatch):
+    limits = []
+    reach = semigroup._reach
+
+    def counted(gens, limit):
+        limits.append(limit)
+        return reach(gens, limit)
+
+    monkeypatch.setattr(semigroup, "_reach", counted)
+    return limits
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: supersym.supersym_semigroup(3, 5, 7),
+        lambda: supersym.s_prime(3, 4, 5),
+        lambda: arith.approximating_semigroup(3, 9),
+        lambda: series.capture_conductors((6, 8, 9), [0])[0],
+    ],
+    ids=["supersym", "s_prime", "approximating", "capture_conductors"],
+)
+def test_each_build_sieves_once(monkeypatch, build):
+    builds = []
+    init = NumericalSemigroup.__init__
+
+    def counted_init(self, generators):
+        builds.append(generators)
+        init(self, generators)
+
+    monkeypatch.setattr(NumericalSemigroup, "__init__", counted_init)
+    limits = record_sieve_limits(monkeypatch)
+    build()
+    assert builds and len(limits) == len(builds)
+
+
+def test_many_generators_are_sieved_below_twice_the_extent(monkeypatch):
+    limits = record_sieve_limits(monkeypatch)
+    s = NumericalSemigroup(range(300, 600))
+    assert s.conductor == 300
+    assert len(limits) == 1 and limits[0] < 2 * (s.conductor + 599)
+
+
+def test_supersymmetric_semigroups_are_sieved_to_their_extent(monkeypatch):
+    limits = record_sieve_limits(monkeypatch)
+    for a, b, c in [(2, 3, 5), (3, 4, 5), (4, 5, 9), (5, 7, 11)]:
+        s = supersym.supersym_semigroup(a, b, c)
+        assert limits[-1] == s.conductor + b * c
+    assert len(limits) == 4
+
+
+def test_a_sieve_that_misses_a_member_raises(monkeypatch):
+    reach = semigroup._reach
+    # (6, 10, 15) has conductor 30, which Brauer's bound meets exactly
+    monkeypatch.setattr(semigroup, "_reach", lambda gens, limit: reach(gens, limit) & ~(1 << 30))
+    with pytest.raises(RuntimeError, match="Frobenius bound"):
+        NumericalSemigroup((6, 10, 15))
+    # a sieve cut short, as a bound below the Frobenius number would cut it
+    monkeypatch.setattr(semigroup, "_reach", lambda gens, limit: reach(gens, limit - 10))
+    with pytest.raises(RuntimeError, match="Frobenius bound"):
+        NumericalSemigroup((6, 10, 15))

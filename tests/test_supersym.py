@@ -285,6 +285,22 @@ def test_normal_form_raises_on_inexact_reduction(monkeypatch):
         supersym.abc_normal_form(3, 4, 5, 1)
 
 
+def test_members_below_match_the_normal_form():
+    for a, b, c in [(2, 3, 5), (3, 4, 5), (3, 5, 7), (4, 5, 9)]:
+        t = 2 * a * b * c
+        expected = [supersym.abc_member(a, b, c, n) for n in range(t)]
+        assert supersym.abc_members_below(a, b, c, t) == expected, (a, b, c)
+    assert supersym.abc_members_below(3, 4, 5, 0) == []
+    with pytest.raises(ValueError):
+        supersym.abc_members_below(3, 6, 7, 10)
+
+
+def test_members_below_raise_on_inexact_reduction(monkeypatch):
+    monkeypatch.setattr(supersym, "pow", lambda *args: 0, raising=False)
+    with pytest.raises(MethodMismatchError, match="Chinese-remainder reduction of 1 "):
+        supersym.abc_members_below(3, 4, 5, 2)
+
+
 def test_all_factorizations():
     facs = supersym.abc_all_factorizations(3, 4, 5, 60)
     assert set(facs) == {(5, 0, 0), (0, 4, 0), (0, 0, 3)}

@@ -206,11 +206,13 @@ def test_rho_row_holds_rho_to_the_sieve(monkeypatch):
 
 
 def test_membership_mismatch_ends_the_scan_of_its_triple(monkeypatch):
-    member = supersym.abc_member
+    members = supersym.abc_members_below
     monkeypatch.setattr(
         supersym,
-        "abc_member",
-        lambda a, b, c, n: member(a, b, c, n) != ((a, b, c, n) == (2, 3, 7, 6)),
+        "abc_members_below",
+        lambda a, b, c, t: [
+            m != ((a, b, c, n) == (2, 3, 7, 6)) for n, m in enumerate(members(a, b, c, t))
+        ],
     )
     res = verify.check_unique_factorization(max_abc=120, samples=3)
     assert res.rows == [
@@ -416,10 +418,15 @@ def test_unique_factorization_builds_each_semigroup_once(monkeypatch):
 
 
 def test_unique_factorization_takes_one_normal_form_per_element(monkeypatch):
-    # one per n < abc over the 192 triples, and one per sample
+    # one per n < abc over the 192 triples, in one abc_members_below call per
+    # triple, and one abc_normal_form per sample
+    scans = _count_calls(monkeypatch, supersym, "abc_members_below")
     calls = _count_calls(monkeypatch, supersym, "abc_normal_form")
     assert verify.check_unique_factorization().passed
-    assert len(calls) == 71_039 + 40
+    assert len(scans) == 192
+    assert sum(t for a, b, c, t in scans) == 71_039
+    assert all(t == a * b * c for a, b, c, t in scans)
+    assert len(calls) == 40
 
 
 def test_sprime_enumerates_the_triples_once(monkeypatch):
