@@ -133,6 +133,9 @@ def _flag_kwargs(func: object, args: argparse.Namespace, command: str) -> dict:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     if args.list_theorems:
+        if args.theorem:
+            raise ValueError(f"verify --list-theorems takes no theorem id, got {args.theorem!r}")
+        _flag_kwargs(lambda: None, args, "verify --list-theorems")
         for name in sorted(verify.THEOREMS):
             description, _ = verify.THEOREMS[name]
             sys.stdout.write(f"{name}: {description}\n")

@@ -93,7 +93,7 @@ class RamificationProfile:
         if any(b <= a for a, b in zip(orders, orders[1:])):
             raise ValueError("orders must be strictly increasing")
 
-    # perfbench/tracer.py reads this name; it goes with ROADMAP item 9's tracer change
+    # perfbench/tracer.py reads this name; it goes with ROADMAP item 11's tracer change
     @classmethod
     def of(cls, value: "RamificationProfile | Sequence[int]") -> "RamificationProfile":
         if isinstance(value, cls):
@@ -208,7 +208,7 @@ class TruncatedSeries:
         setfield(self, "prime", layout.prime)
         setfield(self, "_layout", layout)
 
-    # perfbench/tracer.py reads this name; it goes with ROADMAP item 9's tracer change
+    # perfbench/tracer.py reads this name; it goes with ROADMAP item 11's tracer change
     @cached_property
     def coefficients(self) -> tuple[int, ...]:
         return tuple(self._layout.unpack(self.packed, self.precision - self.valuation))
@@ -342,7 +342,7 @@ def _achieved_bits(achieved: Sequence[int]) -> int:
     return bits
 
 
-# perfbench/tracer.py reads this name; it goes with ROADMAP item 9's tracer change
+# perfbench/tracer.py reads this name; it goes with ROADMAP item 11's tracer change
 def detect_conductor(achieved: Sequence[int], run_length: int) -> int | None:
     """Start of the first run of ``run_length`` consecutive values, if present."""
     return _first_run_start(_achieved_bits(achieved), run_length)

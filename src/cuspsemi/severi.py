@@ -20,14 +20,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from cuspsemi.series import RamificationProfile
-from cuspsemi.supersym import (
-    MethodMismatchError,
-    apery_count_below,
-    genus_formula,
-    lattice_count,
-    pairwise_products,
-    rho,
-)
+from cuspsemi.supersym import genus_formula, members_below, pairwise_products, rho
 
 
 @dataclass(frozen=True)
@@ -91,22 +84,14 @@ def excess_generic_supersym(a: int, b: int, c: int, empirical_genus: int | None 
     the exact lower bound abc - #{members of <ab, ac, bc> below abc} when no
     Monte-Carlo value is supplied (a smaller genus only strengthens a negative
     verdict, so the sufficient inequality rhobound2 is checked alongside).
-    That member count is taken from the Apery set and checked against the
-    lattice points of ab*x + ac*y + bc*z <= abc - 1, one per member because
-    factorization is unique below abc; disagreement raises
-    :class:`~cuspsemi.supersym.MethodMismatchError`.
+    That member count is :func:`~cuspsemi.supersym.members_below`, the Apery
+    count checked against the lattice count.
     """
     profile = pairwise_products(a, b, c)
     abc = a * b * c
-    members_below = apery_count_below(a, b, c, abc)
-    by_lattice = lattice_count(*profile, abc - 1)
-    if members_below != by_lattice:
-        raise MethodMismatchError(
-            f"excess_generic_supersym({a},{b},{c}): Apery count {members_below} "
-            f"!= lattice count {by_lattice} below abc"
-        )
-    g = abc - members_below if empirical_genus is None else empirical_genus
+    below = members_below(a, b, c, abc)
+    g = abc - below if empirical_genus is None else empirical_genus
     codim = generic_codim(profile)
     # rhobound2: members below abc < abc - (ab+ac+bc) + 7
-    rhobound2 = members_below < abc - sum(profile) + 7
+    rhobound2 = below < abc - sum(profile) + 7
     return CodimReport(genus=g, codim=codim, excess=codim < g, checks={"rhobound2": rhobound2})

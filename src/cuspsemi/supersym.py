@@ -5,12 +5,13 @@ forms for its Frobenius number and genus, a unique-factorization zone below
 abc, and a residue-triple description of its elements congruent to 1 mod abc.
 Its Apery set with respect to ab is {y*ac + z*bc : 0 <= y < b, 0 <= z < a},
 so the members below any t are counted without building S
-(:func:`apery_count_below`).  The count rho of gaps above abc is the number
-of members below abc - (ab + ac + bc), computed along two independent routes
-that must agree: that Apery count, and a floor-sum count of the lattice points
-with ab*x + ac*y + bc*z <= abc - (ab + ac + bc).  The membership sieve of
+(:func:`apery_count_below`).  :func:`members_below` checks that count against
+a floor-sum count of the lattice points of ab*x + ac*y + bc*z <= t - 1, one
+per member for t <= abc, and rho, the number of gaps above abc, is its count
+below abc - (ab + ac + bc).  :func:`abc_normal_forms` reduces any n with the
+inverses of :func:`residue_triple`.  The membership sieve of
 :func:`supersym_semigroup` is the oracle the checks in :mod:`cuspsemi.verify`
-hold both routes to.  Every public function takes the plain integers a, b, c
+hold these routes to.  Every public function takes the plain integers a, b, c
 and checks them with :func:`pairwise_products`.  Everything is exact and
 nothing is random (Monte Carlo lives in :mod:`cuspsemi.series`); Fractions are
 only the values of the Yau-Zhang bounds.  A guarded result that fails its own
@@ -21,7 +22,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from cuspsemi.semigroup import NumericalSemigroup
 
@@ -160,22 +161,34 @@ def apery_count_below(a: int, b: int, c: int, t: int) -> int:
     return count
 
 
-def rho(a: int, b: int, c: int) -> int:
-    """Number of gaps of <ab, ac, bc> exceeding abc, computed two independent ways.
+def members_below(a: int, b: int, c: int, t: int) -> int:
+    """Number of members of <ab, ac, bc> in [0, t) for t <= abc, counted two independent ways.
 
-    By symmetry this equals the number of members below d = abc - (ab + ac +
-    bc).  They are counted from the Apery set (:func:`apery_count_below`) and
-    as the lattice points of :func:`rho_simplex` (:func:`lattice_count`); no
-    semigroup is built.  Disagreement raises :class:`MethodMismatchError`.
+    The Apery count (:func:`apery_count_below`) is checked against the lattice
+    points of ab*x + ac*y + bc*z <= t - 1 (:func:`lattice_count`), one per
+    member because factorization is unique below abc; no semigroup is built.
+    Raises ValueError for t > abc, and :class:`MethodMismatchError` when the
+    two counts disagree.
     """
-    simplex = rho_simplex(a, b, c)
-    by_apery = apery_count_below(a, b, c, a * b * c - (a * b + a * c + b * c))
-    by_lattice = 0 if simplex is None else lattice_count(*simplex)
+    ab, ac, bc = pairwise_products(a, b, c)
+    if t > a * b * c:
+        raise ValueError(f"members_below({a},{b},{c},{t}): t exceeds abc = {a * b * c}")
+    by_apery = apery_count_below(a, b, c, t)
+    by_lattice = lattice_count(ab, ac, bc, t - 1)
     if by_apery != by_lattice:
         raise MethodMismatchError(
-            f"rho({a},{b},{c}): Apery count {by_apery} != lattice count {by_lattice}"
+            f"members_below({a},{b},{c},{t}): Apery count {by_apery} != lattice count {by_lattice}"
         )
     return by_apery
+
+
+def rho(a: int, b: int, c: int) -> int:
+    """Number of gaps of <ab, ac, bc> exceeding abc, by :func:`members_below`.
+
+    By symmetry this equals the number of members below d = abc - (ab + ac +
+    bc): n > abc is a gap exactly when F - n = d - (n - abc) < d is a member.
+    """
+    return members_below(a, b, c, a * b * c - (a * b + a * c + b * c))
 
 
 def yz_hypothesis(u: int, v: int, w: int, bound: int) -> bool:
@@ -197,47 +210,25 @@ def yz_strong_bound(u: int, v: int, w: int, bound: int) -> Fraction:
     return Fraction((bound + v + w) * (bound + u + w) * (bound + u + v), 6 * u * v * w)
 
 
-def abc_normal_form(a: int, b: int, c: int, n: int) -> tuple[int, int, int]:
-    """Unique representation n = x*ab + y*ac + z*bc with 0 <= x < c, 0 <= y < b, z integer.
+def abc_normal_forms(a: int, b: int, c: int, ns: Iterable[int]) -> Iterator[tuple[int, int, int]]:
+    """For each n of ns, the unique n = x*ab + y*ac + z*bc with 0 <= x < c, 0 <= y < b, z integer.
 
-    n is a member of <ab, ac, bc> exactly when z >= 0.
+    n is a member of <ab, ac, bc> exactly when z >= 0.  The triple is checked
+    once, by :func:`residue_triple`, whose beta_hat = (ac)^-1 mod b and
+    gamma_hat = (ab)^-1 mod c give y and x.  A nonzero Chinese-remainder
+    remainder raises :class:`MethodMismatchError`.
     """
-    ab, ac, bc = pairwise_products(a, b, c)
-    x = n * pow(ab, -1, c) % c
-    y = n * pow(ac, -1, b) % b
-    z, r = divmod(n - x * ab - y * ac, bc)
-    if r != 0:
-        raise MethodMismatchError(
-            f"abc_normal_form({a},{b},{c},{n}): Chinese-remainder reduction leaves {r}"
-        )
-    return (x, y, z)
-
-
-def abc_member(a: int, b: int, c: int, n: int) -> bool:
-    """Membership of n in <ab, ac, bc> via the normal form."""
-    if n < 0:
-        return False
-    return abc_normal_form(a, b, c, n)[2] >= 0
-
-
-def abc_members_below(a: int, b: int, c: int, t: int) -> list[bool]:
-    """Normal-form membership in <ab, ac, bc> of every 0 <= n < t, as a list.
-
-    The reduction of :func:`abc_normal_form` with the triple checked and the
-    inverses of ab mod c and ac mod b computed once for all n.
-    """
-    ab, ac, bc = pairwise_products(a, b, c)
-    ab_inv = pow(ab, -1, c)
-    ac_inv = pow(ac, -1, b)
-    out = []
-    for n in range(t):
-        z, r = divmod(n - n * ab_inv % c * ab - n * ac_inv % b * ac, bc)
+    _, beta_hat, gamma_hat = residue_triple(a, b, c)
+    ab, ac, bc = a * b, a * c, b * c
+    for n in ns:
+        x = n * gamma_hat % c
+        y = n * beta_hat % b
+        z, r = divmod(n - x * ab - y * ac, bc)
         if r != 0:
             raise MethodMismatchError(
-                f"abc_members_below({a},{b},{c},{t}): Chinese-remainder reduction of {n} leaves {r}"
+                f"abc_normal_forms({a},{b},{c}): Chinese-remainder reduction of {n} leaves {r}"
             )
-        out.append(z >= 0)
-    return out
+        yield (x, y, z)
 
 
 def abc_all_factorizations(a: int, b: int, c: int, n: int) -> tuple[tuple[int, int, int], ...]:
@@ -248,7 +239,7 @@ def abc_all_factorizations(a: int, b: int, c: int, n: int) -> tuple[tuple[int, i
     """
     if n < 0:
         return ()
-    x0, y0, z0 = abc_normal_form(a, b, c, n)
+    x0, y0, z0 = next(abc_normal_forms(a, b, c, (n,)))
     ab, ac = a * b, a * c
     out = []
     k1 = 0

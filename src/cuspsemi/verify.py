@@ -260,9 +260,10 @@ def check_min_congruent_one(max_abc: int = 5000) -> CheckResult:
 def check_unique_factorization(max_abc: int = 600, samples: int = 40, seed: int = 0) -> CheckResult:
     """Members below abc factor uniquely; the shifted enumeration matches brute force.
 
-    Three routes: normal-form membership against the sieve at every n < abc,
-    uniqueness from the sieve's Betti elements below abc, and the shifted
-    enumeration against brute-force ``factorizations`` at sampled n < 3abc.
+    Three routes: normal-form membership (z >= 0 in one ``abc_normal_forms``
+    scan of n < abc per triple) against the sieve, uniqueness from the sieve's
+    Betti elements below abc, and the shifted enumeration of one normal form
+    against brute-force ``factorizations`` at sampled n < 3abc.
     """
     def scan(t: tuple[int, int, int]) -> tuple[bool | list[str], bool | list[str]]:
         a, b, c = t
@@ -272,8 +273,8 @@ def check_unique_factorization(max_abc: int = 600, samples: int = 40, seed: int 
         # generator n_i would give x - n_i two factorizations.
         betti = s.betti_elements(a * b * c - 1)
         unique = not betti or [f"({a},{b},{c}) n={betti[0]}"]
-        for n, member in enumerate(supersym.abc_members_below(a, b, c, a * b * c)):
-            if member != s.contains(n):
+        for n, (_, _, z) in enumerate(supersym.abc_normal_forms(a, b, c, range(a * b * c))):
+            if (z >= 0) != s.contains(n):
                 return [f"({a},{b},{c}) n={n}"], unique
         return True, unique
 

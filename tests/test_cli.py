@@ -288,6 +288,28 @@ def test_verify_list(capsys):
     assert lines == sorted(lines)
 
 
+@pytest.mark.parametrize(
+    "argv, unread",
+    [
+        (("sprime", "--list-theorems"), "theorem id, got 'sprime'"),
+        (("--list-theorems", "--m", "3..4"), "--m"),
+        (("--list-theorems", "--max-abc", "300", "--trials", "9"), "--max-abc, --trials"),
+    ],
+    ids=["id", "m", "max-abc-trials"],
+)
+def test_verify_list_takes_no_id_and_no_flag(capsys, argv, unread):
+    code, out, err = run_cli(capsys, "verify", *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: verify --list-theorems takes no {unread}\n"
+
+
+def test_verify_list_accepts_seed(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--list-theorems", "--seed", "3")
+    assert code == 0
+    assert len(out.splitlines()) == len(verify.THEOREMS)
+
+
 def test_verify_failure_exit_one(capsys, monkeypatch):
     def broken():
         res = CheckResult("broken")

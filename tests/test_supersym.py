@@ -69,12 +69,35 @@ def test_apery_count_matches_sieve():
             assert supersym.apery_count_below(a, b, c, t) == s.member_count_below(t), (a, b, c, t)
 
 
+def test_members_below_matches_sieve():
+    for a, b, c in supersym.coprime_triples(3000):
+        s = supersym.supersym_semigroup(a, b, c)
+        abc = a * b * c
+        d = abc - (a * b + a * c + b * c)
+        for t in (0, 1, d, abc):
+            assert supersym.members_below(a, b, c, t) == s.member_count_below(t), (a, b, c, t)
+        # symmetry: n < abc is a gap exactly when F - n > abc is a gap, and rho counts those
+        gaps_below_abc = abc - supersym.members_below(a, b, c, abc)
+        assert gaps_below_abc == supersym.genus_formula(a, b, c) - supersym.rho(a, b, c), (a, b, c)
+        with pytest.raises(ValueError, match="exceeds abc"):
+            supersym.members_below(a, b, c, abc + 1)
+
+
+# rho counts below d = abc - (ab + ac + bc), 57 for (4,5,7); the generic
+# verdict counts below abc, 180 for (4,5,9)
+@pytest.mark.parametrize(
+    "caller, triple, t",
+    [(supersym.rho, (4, 5, 7), 57), (severi.excess_generic_supersym, (4, 5, 9), 180)],
+    ids=["rho", "excess_generic_supersym"],
+)
 @pytest.mark.parametrize("route", ["apery_count_below", "lattice_count"])
-def test_rho_routes_that_disagree_raise(monkeypatch, route):
+def test_member_count_routes_that_disagree_raise(monkeypatch, route, caller, triple, t):
     original = getattr(supersym, route)
     monkeypatch.setattr(supersym, route, lambda *args: original(*args) + 1)
-    with pytest.raises(MethodMismatchError, match=r"rho\(4,5,7\): Apery count \d+ != lattice count \d+"):
-        supersym.rho(4, 5, 7)
+    a, b, c = triple
+    message = rf"members_below\({a},{b},{c},{t}\): Apery count \d+ != lattice count \d+"
+    with pytest.raises(MethodMismatchError, match=message):
+        caller(*triple)
 
 
 def test_sweep_row_builds_no_semigroup_and_counts_rho_once(monkeypatch):
@@ -262,18 +285,17 @@ def test_yz_integer_forms_match_intercept_form():
 
 
 def test_normal_form_and_membership():
-    assert supersym.abc_normal_form(3, 4, 5, 0) == (0, 0, 0)
-    assert supersym.abc_normal_form(3, 4, 5, 1) == (3, 3, -4)
-    assert supersym.abc_normal_form(3, 4, 5, 61) == (3, 3, -1)
-    assert supersym.abc_normal_form(3, 4, 5, 60) == (0, 0, 3)
+    assert list(supersym.abc_normal_forms(3, 4, 5, (0, 1, 61, 60))) == [
+        (0, 0, 0), (3, 3, -4), (3, 3, -1), (0, 0, 3)
+    ]
     s = NumericalSemigroup((12, 15, 20))
-    for n in range(0, 160):
-        assert supersym.abc_member(3, 4, 5, n) == (n in s)
+    zs = [z for _, _, z in supersym.abc_normal_forms(3, 4, 5, range(160))]
+    assert [z >= 0 for z in zs] == [n in s for n in range(160)]
 
 
 def test_normal_form_bounds():
-    for n in range(-5, 200, 7):
-        x, y, z = supersym.abc_normal_form(3, 5, 7, n)
+    ns = range(-5, 200, 7)
+    for n, (x, y, z) in zip(ns, supersym.abc_normal_forms(3, 5, 7, ns)):
         assert 0 <= x < 7 and 0 <= y < 5
         assert 15 * x + 21 * y + 35 * z == n
 
@@ -282,23 +304,24 @@ def test_normal_form_raises_on_inexact_reduction(monkeypatch):
     # a broken inverse leaves a remainder; the check survives python -O
     monkeypatch.setattr(supersym, "pow", lambda *args: 0, raising=False)
     with pytest.raises(MethodMismatchError, match="Chinese-remainder"):
-        supersym.abc_normal_form(3, 4, 5, 1)
+        next(supersym.abc_normal_forms(3, 4, 5, (1,)))
 
 
 def test_members_below_match_the_normal_form():
+    # one scan over many n equals one call per n, and checks its triple
     for a, b, c in [(2, 3, 5), (3, 4, 5), (3, 5, 7), (4, 5, 9)]:
-        t = 2 * a * b * c
-        expected = [supersym.abc_member(a, b, c, n) for n in range(t)]
-        assert supersym.abc_members_below(a, b, c, t) == expected, (a, b, c)
-    assert supersym.abc_members_below(3, 4, 5, 0) == []
+        ns = range(2 * a * b * c)
+        expected = [next(supersym.abc_normal_forms(a, b, c, (n,))) for n in ns]
+        assert list(supersym.abc_normal_forms(a, b, c, ns)) == expected, (a, b, c)
+    assert list(supersym.abc_normal_forms(3, 4, 5, range(0))) == []
     with pytest.raises(ValueError):
-        supersym.abc_members_below(3, 6, 7, 10)
+        list(supersym.abc_normal_forms(3, 6, 7, range(10)))
 
 
 def test_members_below_raise_on_inexact_reduction(monkeypatch):
     monkeypatch.setattr(supersym, "pow", lambda *args: 0, raising=False)
     with pytest.raises(MethodMismatchError, match="Chinese-remainder reduction of 1 "):
-        supersym.abc_members_below(3, 4, 5, 2)
+        list(supersym.abc_normal_forms(3, 4, 5, range(2)))
 
 
 def test_all_factorizations():
@@ -331,7 +354,7 @@ def test_min_congruent_one():
         value = supersym.min_congruent_one(a, b, c)
         abc = a * b * c
         assert value in (abc + 1, 2 * abc + 1)
-        assert supersym.abc_member(a, b, c, value)
+        assert next(supersym.abc_normal_forms(a, b, c, (value,)))[2] >= 0
 
 
 def test_min_congruent_one_raises_on_wrong_residue_triple(monkeypatch):

@@ -179,17 +179,18 @@ def test_sweep_row_shows_first_five_failures(monkeypatch):
 
 
 def test_rho_row_carries_the_mismatch_text(monkeypatch):
-    rho_simplex = supersym.rho_simplex
+    lattice_count = supersym.lattice_count
+    # (10, 14, 35) are the weights of (2,5,7), whose d = 11
     monkeypatch.setattr(
         supersym,
-        "rho_simplex",
-        lambda a, b, c: None if (a, b, c) == (2, 5, 7) else rho_simplex(a, b, c),
+        "lattice_count",
+        lambda u, v, w, bound: 0 if (u, v, w) == (10, 14, 35) else lattice_count(u, v, w, bound),
     )
     res = verify.check_rho_simplex(max_abc=100)
     assert res.rows[0] == CheckRow(
         "sieve count = lattice count",
         False,
-        "failed at rho(2,5,7): Apery count 2 != lattice count 0",
+        "failed at members_below(2,5,7,11): Apery count 2 != lattice count 0",
     )
     assert all(row.ok for row in res.rows[1:])
 
@@ -206,13 +207,15 @@ def test_rho_row_holds_rho_to_the_sieve(monkeypatch):
 
 
 def test_membership_mismatch_ends_the_scan_of_its_triple(monkeypatch):
-    members = supersym.abc_members_below
+    normal_forms = supersym.abc_normal_forms
+    # flips the sign of z, and so the membership, at (2,3,7) n=6
     monkeypatch.setattr(
         supersym,
-        "abc_members_below",
-        lambda a, b, c, t: [
-            m != ((a, b, c, n) == (2, 3, 7, 6)) for n, m in enumerate(members(a, b, c, t))
-        ],
+        "abc_normal_forms",
+        lambda a, b, c, ns: (
+            (x, y, -1 - z if (a, b, c, n) == (2, 3, 7, 6) else z)
+            for n, (x, y, z) in zip(ns, normal_forms(a, b, c, ns))
+        ),
     )
     res = verify.check_unique_factorization(max_abc=120, samples=3)
     assert res.rows == [
@@ -418,15 +421,16 @@ def test_unique_factorization_builds_each_semigroup_once(monkeypatch):
 
 
 def test_unique_factorization_takes_one_normal_form_per_element(monkeypatch):
-    # one per n < abc over the 192 triples, in one abc_members_below call per
-    # triple, and one abc_normal_form per sample
-    scans = _count_calls(monkeypatch, supersym, "abc_members_below")
-    calls = _count_calls(monkeypatch, supersym, "abc_normal_form")
+    # one per n < abc over the 192 triples, in one abc_normal_forms scan per
+    # triple, and one one-n abc_normal_forms call per sample
+    calls = _count_calls(monkeypatch, supersym, "abc_normal_forms")
     assert verify.check_unique_factorization().passed
+    scans = [(a, b, c, ns) for a, b, c, ns in calls if len(ns) > 1]
     assert len(scans) == 192
-    assert sum(t for a, b, c, t in scans) == 71_039
-    assert all(t == a * b * c for a, b, c, t in scans)
-    assert len(calls) == 40
+    assert sum(len(ns) for a, b, c, ns in scans) == 71_039
+    assert all(ns == range(a * b * c) for a, b, c, ns in scans)
+    assert len([ns for a, b, c, ns in calls if len(ns) == 1]) == 40
+    assert len(calls) == 232
 
 
 def test_sprime_enumerates_the_triples_once(monkeypatch):
