@@ -6,11 +6,14 @@ set for m = 2, predicts Apery table entries per residue family, and computes
 the genus upper bound, the best genus lower bound and the forbidden valuation
 windows used by the Monte-Carlo verifiers.  The gap set and the Apery
 predictions are each one formula for both parities of ell: parity enters
-through range bounds such as ell // 2 and a few named terms.  A profile is
-its orders tuple, as :func:`profile_orders` returns it; the lower bound and
-the windows take any three orders (r1, r2, r3) = (m, m+a, m+b) and check them
-through :class:`~cuspsemi.series.RamificationProfile`.  All values are exact
-(integers, or Fractions where a stated bound is not integral).
+through range bounds such as ell // 2 and a few named terms.
+
+The closed forms hold for ell >= 2m.  :func:`profiles` is the one sweep over
+that hypothesis, and the closed-form entry points warn below it.  The
+lower bound and the windows take any three orders (r1, r2, r3) = (m, m+a, m+b)
+and check them through :class:`~cuspsemi.series.RamificationProfile`.  Results
+are plain values: integers, tuples, and a Fraction for the stated genus bound,
+which is not always integral.
 """
 
 from __future__ import annotations
@@ -18,9 +21,8 @@ from __future__ import annotations
 import math
 import sys
 import warnings
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Sequence
+from typing import Iterator, Sequence
 
 from cuspsemi.semigroup import NumericalSemigroup
 from cuspsemi.series import RamificationProfile
@@ -31,6 +33,11 @@ def profile_orders(m: int, ell: int) -> tuple[int, int, int]:
     if m < 2 or ell < 2:
         raise ValueError("need m >= 2 and ell >= 2")
     return (m * ell, m * ell + m, m * ell + 2 * m)
+
+
+def profiles(m: range, l: range) -> Iterator[tuple[int, int]]:
+    """The (m, ell) in m x l with ell >= 2m, the closed forms' hypothesis, m outer."""
+    return ((mm, ell) for mm in m for ell in l if ell >= 2 * mm)
 
 
 def _check_parameters(m: int, ell: int) -> tuple[int, int, int]:
@@ -98,60 +105,25 @@ def gap_set_m2(ell: int) -> tuple[int, ...]:
     return tuple(sorted(out))
 
 
-@dataclass(frozen=True)
-class AperyPrediction:
-    """One predicted Apery entry: least member in class ``residue`` mod ml."""
+def apery_predictions(m: int, ell: int) -> list[tuple[int, int, str]]:
+    """Predicted Apery entries of the approximating semigroup, as (residue, value, family).
 
-    residue: int
-    value: int
-    family: str
-
-
-@dataclass(frozen=True)
-class AperyFormulaResult:
-    """Residue-by-residue Apery predictions with provenance labels.
-
-    ``uncovered`` lists the nonzero residues no family reaches; ``findings``
-    records internal range inconsistencies of the stated formulas.
-    """
-
-    predictions: tuple[AperyPrediction, ...]
-    uncovered: tuple[int, ...]
-    findings: tuple[str, ...]
-
-
-def apery_predictions(m: int, ell: int) -> AperyFormulaResult:
-    """Predicted Apery entries of the approximating semigroup, by formula family.
-
+    The triples are sorted by residue; residues no family reaches are absent.
     The stated nonspecial family ranges j up to ell - 1, but its indices
     2mj + k and 2mj + m + k stay inside [1, ml - 1] only for j < ceil(ell/2)
-    and j < floor(ell/2), which is also the range the genus identity sums over.
-    The larger stated range is recorded as a finding and the consistent range
-    is used.  The parity of ell enters only through the last generator ``top``
-    (the special family) and the g2 term of the special-bis family.
+    and j < floor(ell/2), which is also the range the genus identity sums over;
+    that range is used.  For ell >= 2m every family then lands in [1, ml - 1]
+    on distinct residues; below 2m a residue outside that range or already
+    predicted is skipped.  The parity of ell enters only through the last
+    generator ``top`` (the special family) and the g2 term of the special-bis
+    family.
     """
     n, g2, g1, gb, *_, top = approximation_generators(m, ell)
-
-    predictions: dict[int, AperyPrediction] = {}
-    findings: list[str] = [
-        "nonspecial family: stated index range j up to ell-1 leaves residues"
-        " [1, m*ell-1]; using the genus-identity range instead"
-    ]
+    predictions: dict[int, tuple[int, int, str]] = {}
 
     def add(residue: int, value: int, family: str) -> None:
-        if not 1 <= residue <= n - 1:
-            findings.append(
-                f"{family} family produced residue {residue} outside [1, {n - 1}]; skipped"
-            )
-            return
-        if residue in predictions:
-            other = predictions[residue]
-            findings.append(
-                f"residue {residue} predicted twice: {other.family}={other.value},"
-                f" {family}={value}; keeping the first"
-            )
-            return
-        predictions[residue] = AperyPrediction(residue, value, family)
+        if 1 <= residue <= n - 1:
+            predictions.setdefault(residue, (residue, value, family))
 
     for k in range(m):
         for j in range(k, (ell + 1) // 2):
@@ -164,35 +136,31 @@ def apery_predictions(m: int, ell: int) -> AperyFormulaResult:
     for j in range(m - 1):
         for k in range(j + 2, m):
             add(2 * m * j + k, (ell % 2) * g2 + (j + ell // 2 - k) * g1 + k * gb, "special-bis")
-
-    uncovered = tuple(i for i in range(1, n) if i not in predictions)
-    ordered = tuple(predictions[i] for i in sorted(predictions))
-    return AperyFormulaResult(ordered, uncovered, tuple(findings))
+    return sorted(predictions.values())
 
 
-@dataclass(frozen=True)
-class ArithGenusBound:
-    """Genus upper bound for the generic value semigroup of the orders (ml, ml+m, ml+2m).
+def genus_upper(m: int, ell: int) -> int:
+    """Upper bound for the genus, realized with equality by the approximating semigroup.
 
-    For even ell the stated and proof-derived values coincide.  For odd ell the
-    stated closed form uses (ell+1)(ell-2)/4 (not always integral) while the
-    derivation it rests on yields (ell+1)(ell-1)/4; both are reported.
+    This is the value the proof's count yields: m*ell^2/4 for even ell and
+    m*(ell+1)(ell-1)/4 for odd ell, plus a tail common to both parities.
     """
+    _check_parameters(m, ell)
+    return m * (ell * ell - ell % 2) // 4 + m * (m - 1) * ell + (m - 1) * (m - 2)
 
-    stated: Fraction
-    proof_derived: int
 
+def genus_upper_stated(m: int, ell: int) -> Fraction:
+    """The genus upper bound in the paper's stated closed form.
 
-def genus_upper(m: int, ell: int) -> ArithGenusBound:
-    """Upper bound for the genus, realized with equality by the approximating semigroup."""
+    For even ell it equals :func:`genus_upper`.  For odd ell the stated form
+    uses (ell+1)(ell-2)/4, not always integral, where the derivation it rests
+    on yields (ell+1)(ell-1)/4, so it falls short of :func:`genus_upper` by m(ell+1)/4.
+    """
     _check_parameters(m, ell)
     tail = m * (m - 1) * ell + (m - 1) * (m - 2)
     if ell % 2 == 0:
-        value = m * ell * ell // 4 + tail
-        return ArithGenusBound(Fraction(value), value)
-    stated = Fraction(m * (ell + 1) * (ell - 2), 4) + tail
-    derived = m * (ell + 1) * (ell - 1) // 4 + tail
-    return ArithGenusBound(stated, derived)
+        return Fraction(m * ell * ell, 4) + tail
+    return Fraction(m * (ell + 1) * (ell - 2), 4) + tail
 
 
 # The bounds below hold for any three-order profile (r1, r2, r3) = (m, m+a, m+b),
@@ -207,13 +175,8 @@ def _three_orders(orders: Sequence[int]) -> tuple[int, int, int]:
     return checked
 
 
-class BestLowerBound(NamedTuple):
-    k: int
-    bound: int
-
-
-def best_genus_lower(orders: Sequence[int]) -> BestLowerBound:
-    """Best genus lower bound for orders (m, m+a, m+b), at the smallest k attaining it.
+def best_genus_lower(orders: Sequence[int]) -> tuple[int, int]:
+    """Best genus lower bound for orders (m, m+a, m+b), as (k, bound) at the least such k.
 
     Each k >= 0 gives the bound m(k+1) - b*C(k+1,2) - C(k+3,3).  Raising k by
     one adds m - b(k+1) - C(k+3,2), which strictly falls as k grows, so the
@@ -224,7 +187,7 @@ def best_genus_lower(orders: Sequence[int]) -> BestLowerBound:
     k, bound = 0, m - 1
     while (step := m - b * (k + 1) - math.comb(k + 3, 2)) > 0:
         k, bound = k + 1, bound + step
-    return BestLowerBound(k, bound)
+    return k, bound
 
 
 def forbidden_window(orders: Sequence[int], d: int) -> range | None:
@@ -251,5 +214,5 @@ def asymptotic_check(m: int, ell: int, eps: float) -> bool:
     """
     if not math.isfinite(eps):
         raise ValueError(f"eps must be finite, got {eps}")
-    bound = best_genus_lower(profile_orders(m, ell)).bound
+    _, bound = best_genus_lower(profile_orders(m, ell))
     return bound > ((2 * m) ** 1.5 / 3 - eps) * ell**1.5

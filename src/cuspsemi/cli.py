@@ -189,26 +189,26 @@ def _supersym_rows(max_abc: int = 2000, min_a: int = 2) -> Iterator[tuple]:
 
 
 def _arith_rows(m: range = range(2, 5), l: range = range(4, 13)) -> Iterator[tuple]:
-    for mult, ell in itertools.product(m, l):
-        if ell < 2 * mult:
-            continue
+    for mult, ell in arith.profiles(m, l):
         s = arith.approximating_semigroup(mult, ell)
-        bound = arith.genus_upper(mult, ell)
+        upper, stated = arith.genus_upper(mult, ell), arith.genus_upper_stated(mult, ell)
+        stated = int(stated) if stated.denominator == 1 else str(stated)
         best = arith.best_genus_lower(arith.profile_orders(mult, ell))
-        stated = int(bound.stated) if bound.stated.denominator == 1 else str(bound.stated)
-        yield mult, ell, s.genus, s.frobenius, s.conductor, bound.proof_derived, stated, best.k, best.bound
+        yield mult, ell, s.genus, s.frobenius, s.conductor, upper, stated, *best
 
 
 def _generic_rows(
     m: range = range(2, 3), l: range = range(4, 9), trials: int = 3,
     prime: int = series.DEFAULT_PRIME, seed: int = 0,
 ) -> Iterator[tuple]:
-    # no m column: r1 = m * l
+    # no m column: r1 = m * l.  Every l is swept, not only arith.profiles: the
+    # Monte-Carlo semigroup needs no hypothesis, and README documents the
+    # warning genus_upper gives for each l below 2m.
     for mult, ell in itertools.product(m, l):
         orders = arith.profile_orders(mult, ell)
         emp = series.empirical_generic_semigroup(orders, trials=trials, prime=prime, base_seed=seed)
-        lower = arith.best_genus_lower(orders).bound
-        upper = arith.genus_upper(mult, ell).proof_derived
+        _, lower = arith.best_genus_lower(orders)
+        upper = arith.genus_upper(mult, ell)
         yield ell, *orders, emp.conductor, emp.genus, lower, upper, lower <= emp.genus <= upper
 
 

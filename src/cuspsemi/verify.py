@@ -18,9 +18,8 @@ registers each checker.
 
 from __future__ import annotations
 
-import itertools
 import random
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -95,12 +94,6 @@ def _sweep(result: CheckResult, labels: Sequence[str], instances: Iterable, prob
         else:
             result.row(label, True, f"{count} instances")
     return counts
-
-
-def _profiles(parity: str, ms: range, ells: range) -> Iterator[tuple[int, int]]:
-    """The (m, ell) in ms x ells with ell >= 2m and ell of the given parity, m outer."""
-    odd = parity == "odd"
-    return ((m, ell) for m in ms for ell in ells if ell >= 2 * m and ell % 2 == odd)
 
 
 @_theorem("supersym-invariants", "frobenius/genus closed forms and symmetry of <ab, ac, bc>")
@@ -334,22 +327,21 @@ def check_arith_genus_upper(m: range = range(2, 5), l: range = range(4, 21)) -> 
     def probe(profile: tuple[int, int]) -> tuple[bool | None, bool | None, bool]:
         nonlocal stated_matches
         s = arith.approximating_semigroup(*profile)
-        bound = arith.genus_upper(*profile)
+        derived, stated = arith.genus_upper(*profile), arith.genus_upper_stated(*profile)
         # Selmer: the genus is the sum of (w - i) / n over the Apery entries w = i mod n
         n = s.multiplicity
         selmer = sum((w - i) // n for i, w in enumerate(s.apery())) == s.genus
         if profile[1] % 2 == 0:
-            return s.genus == bound.proof_derived == bound.stated, None, selmer
-        stated_matches += bound.stated == s.genus
-        return None, s.genus == bound.proof_derived, selmer
+            return s.genus == derived == stated, None, selmer
+        stated_matches += stated == s.genus
+        return None, s.genus == derived, selmer
 
     result = CheckResult("arith-genus-upper")
     labels = (
         "even ell: formula = sieve genus", "odd ell: derived value = sieve genus",
         "apery gap identity",
     )
-    profiles = itertools.chain(_profiles("even", m, l), _profiles("odd", m, l))
-    total_odd = _sweep(result, labels, profiles, probe, _profile_tag)[1]
+    total_odd = _sweep(result, labels, arith.profiles(m, l), probe, _profile_tag)[1]
     result.findings.append(
         f"odd ell: the stated (l+1)(l-2)/4 form matched the sieve on {stated_matches}"
         f" of {total_odd} instances; the derived (l+1)(l-1)/4 form matched all"
@@ -359,22 +351,25 @@ def check_arith_genus_upper(m: range = range(2, 5), l: range = range(4, 21)) -> 
 
 def _check_apery(parity: str, ms: range, ells: range) -> CheckResult:
     result = CheckResult(f"apery-{parity}")
-    profiles = list(_profiles(parity, ms, ells))
+    odd = parity == "odd"
+    profiles = [(m, ell) for m, ell in arith.profiles(ms, ells) if ell % 2 == odd]
     classes: list[tuple] = []
     uncovered_total = 0
     for m, ell in profiles:
         apery = arith.approximating_semigroup(m, ell).apery()
-        formulas = arith.apery_predictions(m, ell)
-        classes.extend((m, ell, apery, p) for p in formulas.predictions)
-        uncovered_total += len(formulas.uncovered)
-        for note in formulas.findings:
-            if note not in result.findings:
-                result.findings.append(note)
+        predictions = arith.apery_predictions(m, ell)
+        classes.extend((m, ell, apery, *p) for p in predictions)
+        uncovered_total += m * ell - 1 - len(predictions)
+    if profiles:
+        result.findings.append(
+            "nonspecial family: stated index range j up to ell-1 leaves residues"
+            " [1, m*ell-1]; using the genus-identity range instead"
+        )
 
     def probe(x: tuple) -> tuple[bool | list[str]]:
-        m, ell, apery, p = x
-        ok = apery[p.residue] == p.value
-        return (ok or [f"(m={m},l={ell}) residue {p.residue} [{p.family}]"],)
+        m, ell, apery, residue, value, family = x
+        ok = apery[residue] == value
+        return (ok or [f"(m={m},l={ell}) residue {residue} [{family}]"],)
 
     _sweep(result, ("formula entries = table entries",), classes, probe)
     result.row(
@@ -403,8 +398,8 @@ def check_apery_product_lemma(m: range = range(2, 5), l: range = range(4, 17)) -
     """Apery set of <ml, ml+m, ml+2m, 2m(l+1)+1> is the stated product set (even ell)."""
     def probe(profile: tuple[int, int]) -> tuple[bool]:
         m, ell = profile
-        g2, g1, gb = m * ell + m, m * ell + 2 * m, 2 * m * (ell + 1) + 1
-        t = NumericalSemigroup((m * ell, g2, g1, gb))
+        ml, g2, g1, gb, *_ = arith.approximation_generators(m, ell)
+        t = NumericalSemigroup((ml, g2, g1, gb))
         product = {
             x * g2 + y * g1 + z * gb
             for x in range(2)
@@ -414,7 +409,8 @@ def check_apery_product_lemma(m: range = range(2, 5), l: range = range(4, 17)) -
         return (product == set(t.apery()),)
 
     result = CheckResult("apery-product-lemma")
-    _sweep(result, ("apery set = product set",), _profiles("even", m, l), probe, _profile_tag)
+    profiles = ((mm, ell) for mm, ell in arith.profiles(m, l) if ell % 2 == 0)
+    _sweep(result, ("apery set = product set",), profiles, probe, _profile_tag)
     return result
 
 
@@ -475,8 +471,8 @@ def check_generic_montecarlo(
             if not all(emp.contains(g) for g in approx.generators):
                 bad_contain.append(f"{tag} [{branch}]")
 
-        lower = arith.best_genus_lower(orders).bound
-        upper = arith.genus_upper(m, ell).proof_derived
+        _, lower = arith.best_genus_lower(orders)
+        upper = arith.genus_upper(m, ell)
         within = lower <= emp.genus <= upper
         bounds = within or [f"{tag} (genus {emp.genus} not in [{lower}, {upper}])"]
 
@@ -503,8 +499,7 @@ def check_generic_montecarlo(
         "lower <= genus <= upper", "forbidden windows avoid achieved values",
         "window gap counts", "profile monoid contained",
     )
-    profiles = ((mm, ell) for mm in m for ell in l if ell >= 2 * mm)
-    _sweep(result, labels, profiles, probe, name)
+    _sweep(result, labels, arith.profiles(m, l), probe, name)
     return result
 
 

@@ -36,6 +36,7 @@ def test_small_ell_warns():
         arith.approximating_semigroup,
         arith.apery_predictions,
         arith.genus_upper,
+        arith.genus_upper_stated,
     )
     for entry in entries:
         with warnings.catch_warnings(record=True) as record:
@@ -74,9 +75,8 @@ def test_genus_upper_even_is_exact():
     for m in (2, 3, 4):
         for ell in range(2 * m, 21, 2):
             s = arith.approximating_semigroup(m, ell)
-            bound = arith.genus_upper(m, ell)
-            assert bound.proof_derived == s.genus
-            assert bound.stated == Fraction(s.genus)
+            assert arith.genus_upper(m, ell) == s.genus
+            assert arith.genus_upper_stated(m, ell) == Fraction(s.genus)
 
 
 def test_genus_upper_odd_derived_is_exact():
@@ -85,49 +85,58 @@ def test_genus_upper_odd_derived_is_exact():
     for m in (2, 3, 4):
         for ell in range(2 * m + 1, 21, 2):
             s = arith.approximating_semigroup(m, ell)
-            bound = arith.genus_upper(m, ell)
-            assert bound.proof_derived == s.genus
-            assert bound.stated != Fraction(s.genus)
+            assert arith.genus_upper(m, ell) == s.genus
+            assert arith.genus_upper_stated(m, ell) != Fraction(s.genus)
 
 
 def test_apery_predictions_even():
-    res = arith.apery_predictions(2, 4)
+    predictions = arith.apery_predictions(2, 4)
     s = arith.approximating_semigroup(2, 4)
     table = s.apery()
-    for pred in res.predictions:
-        assert table[pred.residue] == pred.value, pred
-    assert res.uncovered == (3,)
+    for residue, value, family in predictions:
+        assert table[residue] == value, (residue, value, family)
+    assert set(range(1, 8)) - {residue for residue, _, _ in predictions} == {3}
 
 
 def test_apery_predictions_larger_even():
-    res = arith.apery_predictions(3, 6)
+    predictions = arith.apery_predictions(3, 6)
     table = arith.approximating_semigroup(3, 6).apery()
-    for pred in res.predictions:
-        assert table[pred.residue] == pred.value, pred
-    assert set(res.uncovered) == {4, 5, 11}
+    for residue, value, family in predictions:
+        assert table[residue] == value, (residue, value, family)
+    assert set(range(1, 18)) - {residue for residue, _, _ in predictions} == {4, 5, 11}
 
 
 @pytest.mark.parametrize("m,ell", [(2, 5), (2, 7), (3, 7), (3, 9), (4, 9)])
 def test_apery_predictions_odd(m, ell):
-    res = arith.apery_predictions(m, ell)
     table = arith.approximating_semigroup(m, ell).apery()
-    for pred in res.predictions:
-        assert table[pred.residue] == pred.value, pred
-
-
-def test_apery_predictions_report_range_finding():
-    res = arith.apery_predictions(2, 4)
-    assert any("index range" in note for note in res.findings)
+    for residue, value, family in arith.apery_predictions(m, ell):
+        assert table[residue] == value, (residue, value, family)
 
 
 def test_apery_predictions_match_the_sieve_for_both_parities():
-    for m in range(2, 7):
-        for ell in range(2 * m, 32):
-            res = arith.apery_predictions(m, ell)
-            table = arith.approximating_semigroup(m, ell).apery()
-            for pred in res.predictions:
-                assert table[pred.residue] == pred.value, (m, ell, pred)
-            assert len(res.findings) == 1 and "index range" in res.findings[0], (m, ell)
+    for m, ell in arith.profiles(range(2, 7), range(4, 32)):
+        table = arith.approximating_semigroup(m, ell).apery()
+        for residue, value, family in arith.apery_predictions(m, ell):
+            assert table[residue] == value, (m, ell, residue, family)
+
+
+def test_apery_predictions_land_on_distinct_residues_in_range():
+    # For ell >= 2m the index ranges give m*ceil(l/2) - C(m,2) - 1 plus
+    # m*floor(l/2) - C(m,2) nonspecial terms, m - 1 special and C(m-1,2)
+    # special-bis terms: ml - 1 - C(m,2) in all.  Every one of them is kept, so
+    # none left [1, ml-1] and no two shared a residue.
+    for m, ell in arith.profiles(range(2, 12), range(4, 60)):
+        residues = [residue for residue, _, _ in arith.apery_predictions(m, ell)]
+        assert residues == sorted(set(residues)), (m, ell)
+        assert all(1 <= r <= m * ell - 1 for r in residues), (m, ell)
+        assert len(residues) == m * ell - 1 - math.comb(m, 2), (m, ell)
+
+
+def test_profiles_sweep_the_hypothesis_with_m_outer():
+    pairs = list(arith.profiles(range(2, 4), range(3, 8)))
+    assert pairs == [(2, 4), (2, 5), (2, 6), (2, 7), (3, 6), (3, 7)]
+    assert list(arith.profiles(range(2, 4), range(9, 4))) == []
+    assert list(arith.profiles(range(5, 2), range(4, 9))) == []
 
 
 def test_profile_orders():
@@ -139,8 +148,7 @@ def test_profile_orders():
 
 
 def test_best_genus_lower():
-    best = arith.best_genus_lower((8, 10, 12))
-    assert (best.k, best.bound) == (1, 8)
+    assert arith.best_genus_lower((8, 10, 12)) == (1, 8)
 
 
 def _brute_best_lower(m, b):

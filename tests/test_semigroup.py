@@ -73,25 +73,28 @@ def assert_every_factorization(gens, x, facs, count):
 
 
 def enumeration_betti(s, bound):
-    """Betti elements by merging the supports of every factorization of every member (reference)."""
+    """Betti elements from the supports of the factorizations of each x <= bound (reference).
+
+    S(x), the set of supports of the factorizations of x, is built up from
+    S(0) = {{}} by S(x) = {T | {i} : n_i <= x, T in S(x - n_i)}.  x is a Betti
+    element when S(x) splits into more than one component under "two supports
+    share a generator".  A support is held as a bitmask over generator indices.
+    """
+    gens = s.generators
+    supports = [{0}]
     out = []
     for x in range(1, bound + 1):
-        if not s.contains(x):
-            continue
-        facs = s.factorizations(x)
-        if len(facs) < 2:
-            continue
+        here = {t | 1 << i for i, g in enumerate(gens) if g <= x for t in supports[x - g]}
+        supports.append(here)
         comps = []
-        for fac in facs:
-            new = {i for i, e in enumerate(fac) if e}
+        for merged in here:
             rest = []
             for comp in comps:
-                if comp & new:
-                    new |= comp
+                if comp & merged:
+                    merged |= comp
                 else:
                     rest.append(comp)
-            rest.append(new)
-            comps = rest
+            comps = rest + [merged]
         if len(comps) > 1:
             out.append(x)
     return out

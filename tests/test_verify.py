@@ -1,4 +1,3 @@
-import dataclasses
 import importlib.util
 import inspect
 import sys
@@ -330,12 +329,11 @@ def test_apery_row_tags_profile_residue_and_family(monkeypatch):
     predictions = arith.apery_predictions
 
     def shifted(m, ell):
-        formulas = predictions(m, ell)
-        if (m, ell) != (2, 6):
-            return formulas
-        entries = list(formulas.predictions)
-        entries[2] = dataclasses.replace(entries[2], value=entries[2].value + m * ell)
-        return dataclasses.replace(formulas, predictions=tuple(entries))
+        entries = predictions(m, ell)
+        if (m, ell) == (2, 6):
+            residue, value, family = entries[2]
+            entries[2] = (residue, value + m * ell, family)
+        return entries
 
     monkeypatch.setattr(arith, "apery_predictions", shifted)
     res = verify.check_apery_even(m=range(2, 3), l=range(4, 9))
@@ -347,6 +345,43 @@ def test_apery_row_tags_profile_residue_and_family(monkeypatch):
             "coverage", None, "3 residue classes uncovered by the stated families across 3 profiles"
         ),
     ]
+
+
+_RANGE_FINDING = (
+    "nonspecial family: stated index range j up to ell-1 leaves residues"
+    " [1, m*ell-1]; using the genus-identity range instead"
+)
+
+
+def test_apery_range_finding_is_noted_once_and_only_when_a_profile_ran():
+    assert verify.check_apery_even(m=range(2, 3), l=range(4, 9)).findings == [_RANGE_FINDING]
+    assert verify.check_apery_even(l=range(9, 4)).findings == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "arith-genus-upper", "--m", "2..2", "--l", "4..5"),
+        ("verify", "apery-even", "--m", "2..2", "--l", "4..5"),
+        ("verify", "apery-odd", "--m", "2..2", "--l", "4..5"),
+        ("verify", "apery-product-lemma", "--m", "2..2", "--l", "4..5"),
+        ("verify", "generic-montecarlo", "--m", "2..2", "--l", "4..5"),
+        ("sweep", "--family", "arith", "--m", "2..2", "--l", "4..5"),
+    ],
+    ids=lambda argv: argv[1] if argv[0] == "verify" else "sweep-arith",
+)
+def test_arithmetic_sweeps_take_their_profiles_from_arith(monkeypatch, capsys, argv):
+    calls = []
+    profiles = arith.profiles
+
+    def recorded(m, l):
+        calls.append((m, l))
+        return profiles(m, l)
+
+    monkeypatch.setattr(arith, "profiles", recorded)
+    assert cli.main(list(argv)) == 0
+    capsys.readouterr()
+    assert calls == [(range(2, 3), range(4, 6))]
 
 
 def _load_perfbench(name):
