@@ -166,19 +166,18 @@ _SUPERSYM_COLUMNS = (
 
 
 def _supersym_row(a: int, b: int, c: int) -> tuple:
-    report = severi.excess_supersym(a, b, c)
+    # excess_supersym checks the triple; the rest runs on supersym's checked-triple interface
+    genus, codim, excess, checks = severi.excess_supersym(a, b, c)
+    ab, ac, bc = a * b, a * c, b * c
     # codim = 2 * rho + ab + ac + bc - 7: rho is read back, not computed again
-    rho = (report.codim - (a * b + a * c + b * c) + 7) // 2
-    try:
-        sprime_genus, sprime_frobenius = supersym.s_prime_invariants(a, b, c)
-    except supersym.NotApplicableError:
-        sprime_genus = sprime_frobenius = None
+    rho = (codim - (ab + ac + bc) + 7) // 2
+    sprime = supersym._s_prime_invariants(a, b, c, ab, ac, bc, genus)
+    sprime_genus, sprime_frobenius = sprime or (None, None)
     return (
-        a, b, c, report.genus, supersym.frobenius_formula(a, b, c), rho, report.codim,
-        report.genus,  # nodal_codim: (n - 2) * genus in P^3
-        report.excess, report.checks["rhobound1"],
-        "nonnegative" if report.checks["f-polynomial"] else "negative",
-        sprime_genus is not None, sprime_genus, sprime_frobenius,
+        a, b, c, genus, supersym._frobenius(a, b, c, ab, ac, bc), rho, codim,
+        genus,  # nodal_codim: (n - 2) * genus in P^3
+        excess, checks["rhobound1"], "nonnegative" if checks["f-polynomial"] else "negative",
+        sprime is not None, sprime_genus, sprime_frobenius,
     )
 
 
@@ -243,7 +242,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             writer.writerow(columns)
             for row in rows:
                 # csv writes None as an empty cell
-                writer.writerow([str(v).lower() if isinstance(v, bool) else v for v in row])
+                writer.writerow([("true" if v else "false") if type(v) is bool else v for v in row])
     return 0
 
 

@@ -12,10 +12,24 @@ below abc - (ab + ac + bc).  :func:`abc_normal_forms` reduces any n with the
 inverses of :func:`residue_triple`.  The membership sieve of
 :func:`supersym_semigroup` is the oracle the checks in :mod:`cuspsemi.verify`
 hold these routes to.  Every public function takes the plain integers a, b, c
-and checks them with :func:`pairwise_products`.  Everything is exact and
-nothing is random (Monte Carlo lives in :mod:`cuspsemi.series`); Fractions are
-only the values of the Yau-Zhang bounds.  A guarded result that fails its own
-check raises :class:`MethodMismatchError`, which ``python -O`` keeps.
+and checks them with :func:`pairwise_products`.
+
+The checked-triple interface: behind some public functions sits a kernel that
+takes the already checked triple and its products ab, ac, bc and checks
+nothing.  The kernels are ``_frobenius``, ``_genus``, ``_apery_count_below``,
+``_members_below``, ``_residue_triple``, ``_min_congruent_one`` and
+``_s_prime_invariants``.  Outside this module exactly three callers use them,
+each on a triple it has just checked: :func:`cuspsemi.severi.excess_supersym`
+and :func:`cuspsemi.severi.excess_generic_supersym` (after their own
+:func:`pairwise_products`) and ``cuspsemi.cli._supersym_row`` (after
+``severi.excess_supersym``).  A sweep row so checks its triple twice, in
+``severi.excess_supersym`` and in :func:`rho`, and takes one residue triple.
+Any other caller goes through the public functions.
+
+Everything is exact and nothing is random (Monte Carlo lives in
+:mod:`cuspsemi.series`); Fractions are only the values of the Yau-Zhang
+bounds.  A guarded result that fails its own check raises
+:class:`MethodMismatchError`, which ``python -O`` keeps.
 """
 
 from __future__ import annotations
@@ -41,7 +55,7 @@ def pairwise_products(a: int, b: int, c: int) -> tuple[int, int, int]:
     """(ab, ac, bc) for pairwise coprime 2 <= a < b < c; ValueError otherwise."""
     if not 2 <= a < b < c:
         raise ValueError("need 2 <= a < b < c")
-    if gcd(a, b) != 1 or gcd(a, c) != 1 or gcd(b, c) != 1:
+    if gcd(a, b) != 1 or gcd(a * b, c) != 1:
         raise ValueError("a, b, c must be pairwise coprime")
     return (a * b, a * c, b * c)
 
@@ -72,12 +86,21 @@ def supersym_semigroup(a: int, b: int, c: int) -> NumericalSemigroup:
 
 def frobenius_formula(a: int, b: int, c: int) -> int:
     """Closed form 2abc - (ab + ac + bc) for the Frobenius number of <ab, ac, bc>."""
-    return 2 * a * b * c - sum(pairwise_products(a, b, c))
+    return _frobenius(a, b, c, *pairwise_products(a, b, c))
+
+
+def _frobenius(a: int, b: int, c: int, ab: int, ac: int, bc: int) -> int:
+    """:func:`frobenius_formula` of a checked triple and its products."""
+    return 2 * a * b * c - (ab + ac + bc)
 
 
 def genus_formula(a: int, b: int, c: int) -> int:
     """Closed form (F + 1) / 2 for the genus; the semigroup is symmetric."""
-    f = frobenius_formula(a, b, c)
+    return _genus(a, b, c, frobenius_formula(a, b, c))
+
+
+def _genus(a: int, b: int, c: int, f: int) -> int:
+    """:func:`genus_formula` of a checked triple from its Frobenius number f."""
     if f % 2 == 0:
         raise MethodMismatchError(f"genus_formula({a},{b},{c}): Frobenius number {f} is even")
     return (f + 1) // 2
@@ -147,16 +170,20 @@ def apery_count_below(a: int, b: int, c: int, t: int) -> int:
     ceil((t - w) / ab) over the w < t.  The double loop runs y inside z, both
     in increasing order, and breaks once w >= t.
     """
-    ab, ac, bc = pairwise_products(a, b, c)
+    return _apery_count_below(a, b, c, *pairwise_products(a, b, c), t)
+
+
+def _apery_count_below(a: int, b: int, c: int, ab: int, ac: int, bc: int, t: int) -> int:
+    """:func:`apery_count_below` of a checked triple and its products."""
     count = 0
     for z in range(a):
-        w = z * bc
-        if w >= t:
+        r = t - 1 - z * bc  # t - 1 - w, so that ceil((t - w) / ab) = r // ab + 1
+        if r < 0:
             break
         for _ in range(b):
-            count += (t - w - 1) // ab + 1
-            w += ac
-            if w >= t:
+            count += r // ab + 1
+            r -= ac
+            if r < 0:
                 break
     return count
 
@@ -170,10 +197,14 @@ def members_below(a: int, b: int, c: int, t: int) -> int:
     Raises ValueError for t > abc, and :class:`MethodMismatchError` when the
     two counts disagree.
     """
-    ab, ac, bc = pairwise_products(a, b, c)
+    return _members_below(a, b, c, *pairwise_products(a, b, c), t)
+
+
+def _members_below(a: int, b: int, c: int, ab: int, ac: int, bc: int, t: int) -> int:
+    """:func:`members_below` of a checked triple and its products."""
     if t > a * b * c:
         raise ValueError(f"members_below({a},{b},{c},{t}): t exceeds abc = {a * b * c}")
-    by_apery = apery_count_below(a, b, c, t)
+    by_apery = _apery_count_below(a, b, c, ab, ac, bc, t)
     by_lattice = lattice_count(ab, ac, bc, t - 1)
     if by_apery != by_lattice:
         raise MethodMismatchError(
@@ -188,7 +219,8 @@ def rho(a: int, b: int, c: int) -> int:
     By symmetry this equals the number of members below d = abc - (ab + ac +
     bc): n > abc is a gap exactly when F - n = d - (n - abc) < d is a member.
     """
-    return members_below(a, b, c, a * b * c - (a * b + a * c + b * c))
+    ab, ac, bc = pairwise_products(a, b, c)
+    return _members_below(a, b, c, ab, ac, bc, a * b * c - (ab + ac + bc))
 
 
 def yz_hypothesis(u: int, v: int, w: int, bound: int) -> bool:
@@ -258,14 +290,25 @@ def abc_all_factorizations(a: int, b: int, c: int, n: int) -> tuple[tuple[int, i
 
 def residue_triple(a: int, b: int, c: int) -> tuple[int, int, int]:
     """(alpha_hat, beta_hat, gamma_hat): (bc)^-1 mod a, (ac)^-1 mod b, (ab)^-1 mod c, each >= 1."""
-    ab, ac, bc = pairwise_products(a, b, c)
+    return _residue_triple(a, b, c, *pairwise_products(a, b, c))
+
+
+def _residue_triple(a: int, b: int, c: int, ab: int, ac: int, bc: int) -> tuple[int, int, int]:
+    """:func:`residue_triple` of a checked triple and its products."""
     return (pow(bc, -1, a), pow(ac, -1, b), pow(ab, -1, c))
 
 
 def min_congruent_one(a: int, b: int, c: int) -> int:
     """Least member of <ab, ac, bc> congruent to 1 mod abc; always abc+1 or 2abc+1."""
-    alpha_hat, beta_hat, gamma_hat = residue_triple(a, b, c)
-    value = gamma_hat * a * b + beta_hat * a * c + alpha_hat * b * c
+    residues = residue_triple(a, b, c)
+    return _min_congruent_one(a, b, c, a * b, a * c, b * c, residues)
+
+
+def _min_congruent_one(a: int, b: int, c: int, ab: int, ac: int, bc: int,
+                       residues: tuple[int, int, int]) -> int:
+    """:func:`min_congruent_one` of a checked triple, its products and its residue triple."""
+    alpha_hat, beta_hat, gamma_hat = residues
+    value = gamma_hat * ab + beta_hat * ac + alpha_hat * bc
     abc = a * b * c
     if value not in (abc + 1, 2 * abc + 1):
         raise MethodMismatchError(
@@ -288,15 +331,29 @@ def s_prime(a: int, b: int, c: int) -> NumericalSemigroup:
 
 def s_prime_invariants(a: int, b: int, c: int) -> tuple[int, int]:
     """Closed-form (genus, Frobenius number) of the extension by abc + 1."""
-    if abc_plus_one_is_member(a, b, c):
+    ab, ac, bc = pairwise_products(a, b, c)
+    r = _s_prime_invariants(a, b, c, ab, ac, bc, _genus(a, b, c, _frobenius(a, b, c, ab, ac, bc)))
+    if r is None:
         raise NotApplicableError(f"abc + 1 is already a member for ({a},{b},{c})")
-    alpha_hat, beta_hat, gamma_hat = residue_triple(a, b, c)
-    ab, ac, bc = a * b, a * c, b * c
-    genus = genus_formula(a, b, c) - (a - alpha_hat) * (b - beta_hat) * (c - gamma_hat)
+    return r
+
+
+def _s_prime_invariants(a: int, b: int, c: int, ab: int, ac: int, bc: int,
+                        genus: int) -> tuple[int, int] | None:
+    """:func:`s_prime_invariants` of a checked triple, its products and its genus.
+
+    Returns None where abc + 1 is a member, in place of raising
+    :class:`NotApplicableError`; the residue triple is taken once, for both
+    the membership question and the closed forms.
+    """
+    residues = _residue_triple(a, b, c, ab, ac, bc)
+    if _min_congruent_one(a, b, c, ab, ac, bc, residues) == a * b * c + 1:
+        return None
+    alpha_hat, beta_hat, gamma_hat = residues
+    sprime_genus = genus - (a - alpha_hat) * (b - beta_hat) * (c - gamma_hat)
     frobenius = max(
         (gamma_hat - 1) * ab + (b - 1) * ac - bc,
         (c - 1) * ab + (beta_hat - 1) * ac - bc,
         (c - 1) * ab + (b - 1) * ac + (alpha_hat - a - 1) * bc,
     )
-    return genus, frobenius
-
+    return sprime_genus, frobenius

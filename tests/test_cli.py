@@ -2,11 +2,13 @@ import inspect
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
 import cuspsemi
-from cuspsemi import cli, series, supersym, verify
+from cuspsemi import cli, series, severi, supersym, verify
+from cuspsemi.semigroup import NumericalSemigroup
 from cuspsemi.verify import CheckResult
 
 
@@ -181,12 +183,68 @@ def test_generic_out_that_is_a_directory_is_a_usage_error(capsys, monkeypatch, t
 
 
 def test_supersym_sweep_asks_membership_once_per_row(capsys, monkeypatch):
-    asked = _count_calls(monkeypatch, supersym, "abc_plus_one_is_member")
+    # a row asks whether abc + 1 is a member through the least member congruent to 1
+    asked = _count_calls(monkeypatch, supersym, "_min_congruent_one")
     code, out, _ = run_cli(capsys, "sweep", "--family", "supersym", "--max-abc", "300")
     assert code == 0
     lines = out.splitlines()[2:]
     assert {line.split(",")[11] for line in lines} == {"true", "false"}
-    assert sorted(asked) == sorted(tuple(map(int, line.split(",")[:3])) for line in lines)
+    assert sorted(args[:3] for args in asked) == sorted(tuple(map(int, line.split(",")[:3])) for line in lines)
+
+
+def test_supersym_sweep_row_call_budget(capsys, monkeypatch):
+    # one row: the triple checked by excess_supersym and again by rho, one
+    # residue triple (three pow), one Apery count and one lattice count
+    counted = {name: _count_calls(monkeypatch, supersym, name)
+               for name in ("pairwise_products", "_apery_count_below", "lattice_count")}
+    # severi imports pairwise_products by name; both bindings are counted
+    monkeypatch.setattr(severi, "pairwise_products", supersym.pairwise_products)
+    counted["pow"] = []
+
+    def counted_pow(*args):
+        counted["pow"].append(args)
+        return pow(*args)
+
+    monkeypatch.setattr(supersym, "pow", counted_pow, raising=False)
+    per_row = []
+    row = cli._supersym_row
+
+    def budgeted_row(*t):
+        before = {name: len(calls) for name, calls in counted.items()}
+        out = row(*t)
+        per_row.append({name: len(calls) - before[name] for name, calls in counted.items()})
+        return out
+
+    monkeypatch.setattr(cli, "_supersym_row", budgeted_row)
+    code, _, _ = run_cli(capsys, "sweep", "--family", "supersym", "--max-abc", "1500")
+    assert code == 0
+    assert len(per_row) == len(list(supersym.coprime_triples(1500)))
+    assert max(calls["pairwise_products"] for calls in per_row) <= 2
+    assert all(calls["pow"] == 3 for calls in per_row)
+    assert all(calls["_apery_count_below"] == calls["lattice_count"] == 1 for calls in per_row)
+
+
+def test_supersym_sweep_rows_match_their_oracles():
+    # every column against the membership sieve of <ab, ac, bc> and of the extension
+    columns = cli._SUPERSYM_COLUMNS
+    for a, b, c in supersym.coprime_triples(2000):
+        row = dict(zip(columns, cli._supersym_row(a, b, c), strict=True))
+        s = supersym.supersym_semigroup(a, b, c)
+        abc, pairs = a * b * c, a * b + a * c + b * c
+        rho = s.member_count_below(abc - pairs)
+        codim = 2 * rho + pairs - 7
+        applicable = not s.contains(abc + 1)
+        expected = {
+            "a": a, "b": b, "c": c, "genus": s.genus, "frobenius": s.frobenius, "rho": rho,
+            "codim": codim, "nodal_codim": s.genus, "excess": codim < s.genus,
+            "rhobound1_holds": Fraction(rho) < Fraction(abc, 2) - Fraction(3 * pairs, 4) + Fraction(15, 4),
+            "F_poly_sign": "nonnegative" if severi.bound_polynomial(a, b, c) >= 0 else "negative",
+            "sprime_applicable": applicable, "sprime_genus": None, "sprime_frobenius": None,
+        }
+        if applicable:
+            extension = NumericalSemigroup((a * b, a * c, b * c, abc + 1))
+            expected["sprime_genus"], expected["sprime_frobenius"] = extension.genus, extension.frobenius
+        assert row == expected, (a, b, c)
 
 
 def test_generic_sweep_rejects_a_bad_profile_before_any_draw(capsys, monkeypatch):

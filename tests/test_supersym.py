@@ -90,7 +90,10 @@ def test_members_below_matches_sieve():
     [(supersym.rho, (4, 5, 7), 57), (severi.excess_generic_supersym, (4, 5, 9), 180)],
     ids=["rho", "excess_generic_supersym"],
 )
-@pytest.mark.parametrize("route", ["apery_count_below", "lattice_count"])
+# the Apery route runs as the kernel behind apery_count_below, on the checked triple
+@pytest.mark.parametrize(
+    "route", [pytest.param("_apery_count_below", id="apery_count_below"), "lattice_count"]
+)
 def test_member_count_routes_that_disagree_raise(monkeypatch, route, caller, triple, t):
     original = getattr(supersym, route)
     monkeypatch.setattr(supersym, route, lambda *args: original(*args) + 1)

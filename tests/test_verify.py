@@ -477,8 +477,9 @@ def test_sprime_enumerates_the_triples_once(monkeypatch):
 
 def test_sprime_asks_membership_once_per_triple(monkeypatch):
     # once in s_prime for each triple, once more in s_prime_invariants where
-    # abc + 1 is a gap, and once for each of the two spot rows
-    asked = _count_calls(monkeypatch, supersym, "abc_plus_one_is_member")
+    # abc + 1 is a gap, and once for each of the two spot rows; both ask
+    # through the least member congruent to 1
+    asked = _count_calls(monkeypatch, supersym, "_min_congruent_one")
     res = verify.check_sprime()
     assert res.passed
     assert res.findings == ["1987 of 3949 triples have abc + 1 as a gap"]
