@@ -12,13 +12,21 @@ the pivot-degree set of the echelon form of the monomial coefficient matrix.
 Rows go in by increasing monomial degree and a row only makes pivots at or
 above its own degree, so the achieved set below a degree is final once every
 monomial below it is in; the echelon stops at the first degree below which
-that set holds a run of r1 values, the conductor's.  The result is exact for
-the drawn instance; agreement across independent seeds is the evidence that
-the instance is generic.  The echelon below the stop degree only reads the
-series below it, so once the conductor is captured the result does not depend
-on the horizon; for profiles with gcd 1 the first horizon tried provably
-captures it.  Once the achieved set is checked to be
-additively closed, the value semigroup is a
+that set holds a run of r1 values, the conductor's.  That stop degree is the
+least monomial degree at or above conductor + r1, and every horizon at or
+above it gives the same result.  The result is exact for the drawn instance;
+agreement across independent seeds is the evidence that the instance is
+generic.
+
+The horizon rule: the first seed starts at :func:`start_precision`, which
+provably captures every profile with gcd 1, and every later seed at the first
+seed's stop degree, where a seed with the same semigroup is captured at once.
+A horizon that falls short has inserted every row below it, so its values are
+the instance's values below it; once they have gcd 1, the semigroup they
+generate lies inside the instance's, and the least monomial degree at or
+above its conductor + r1 is certain to capture.  Only while their gcd exceeds
+1 does the horizon grow by half instead.  Once the achieved set is checked to
+be additively closed, the value semigroup is a
 :class:`~cuspsemi.semigroup.NumericalSemigroup` like any other.
 
 Every series is one Python integer with a fixed-width slot per degree
@@ -34,8 +42,8 @@ mu = 2**(2b + L) // p takes q = ((x >> (b - 1)) * mu) >> (b + L + 1) in every
 slot, where both factors are below 2**(b + L + 1), so their product fits the
 slot; q undershoots x // p by at most 2, and two slot-wise conditional
 subtractions of p finish.  A product is then one multiply and one reduction,
-and a new pivot is the row reduced, scaled and reduced again; coefficients
-are unpacked only when they are read.
+and a new pivot is the row reduced once, kept with the inverse of its leading
+slot; coefficients are unpacked only when they are read.
 """
 
 from __future__ import annotations
@@ -54,15 +62,25 @@ _MIN_PRIME = 1 << 30
 # 3.3 * 10**24, so every modulus below 2**64 is decided exactly.
 _MAX_PRIME = 1 << 64
 _WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-# Horizons tried per seed: start_precision, then up to sixteen steps of 3/2.
-# With F the Frobenius number of the orders over their gcd d, the last is at
-# least 256 times 2d(F + 1) + 2, about twice start_precision: the ladder reaches
-# as far as eight doublings from that value would.
+# Horizons tried per seed.  A short horizon whose values have gcd 1 is followed
+# by one certain to capture; only while their gcd exceeds 1 does the horizon
+# grow by half.  From start_precision, sixteen steps of 3/2 reach at least 256
+# times 2d(F + 1) + 2, with F the Frobenius number of the orders over their
+# gcd d: about twice start_precision, as far as eight doublings from it would.
 _HORIZON_ATTEMPTS = 17
 
 
 class PrecisionTooSmallError(ValueError):
-    """The precision horizon is too small to capture the conductor."""
+    """The precision horizon is too small to capture the conductor.
+
+    ``achieved`` holds the valuations, 0 included, that a short echelon found
+    below the horizon after inserting every row below it; it is empty when no
+    echelon ran.
+    """
+
+    def __init__(self, message: str, achieved: tuple[int, ...] = ()) -> None:
+        super().__init__(message)
+        self.achieved = achieved
 
 
 class SeedDisagreementError(RuntimeError):
@@ -259,9 +277,21 @@ def _check_prime(prime: int) -> None:
 
 
 def _draw_series(rng: random.Random, valuation: int, precision: int, prime: int) -> TruncatedSeries:
-    """Leading coefficient 1, the higher ones drawn from ``rng`` in degree order and packed."""
+    """Leading coefficient 1, the higher ones drawn from ``rng`` in degree order and packed.
+
+    Each coefficient is ``rng.getrandbits(bits(prime))``, redrawn while it is
+    at least the prime: the values ``rng.randrange(prime)`` gives, without its
+    per-call overhead.
+    """
     layout = _layout_of(prime, precision)
-    coeffs = [1] + [rng.randrange(prime) for _ in range(precision - valuation - 1)]
+    getrandbits = rng.getrandbits
+    k = prime.bit_length()
+    coeffs = [1]
+    for _ in range(precision - valuation - 1):
+        x = getrandbits(k)
+        while x >= prime:
+            x = getrandbits(k)
+        coeffs.append(x)
     return TruncatedSeries(valuation, layout.pack(coeffs), layout)
 
 
@@ -299,20 +329,20 @@ def _exponents_below(orders: tuple[int, ...], precision: int) -> list[tuple[int,
     return found
 
 
-def _insert_row(pivots: dict[int, int], series: TruncatedSeries) -> int | None:
+def _insert_row(pivots: dict[int, tuple[int, int]], series: TruncatedSeries) -> int | None:
     """Reduce a series' row against the pivot rows; record a new pivot at its leading degree.
 
     Returns the new pivot degree, or None when the row reduces to zero below
     the horizon.
 
     Rows and pivots are packed ints in the series' layout, the lowest slot
-    holding the leading degree.  A pivot covers [degree, precision) with
-    reduced slots and leading slot 1, so one reduction is
-    ``row += (p - c) * pivot`` and adds less than p**2 to each slot.  Row
-    slots stay unreduced; a row meets at most one pivot per degree, so each
-    slot stays below (precision + 1) * p**2 and never carries into the next
-    one.  A new pivot is the row reduced, scaled by the inverse of its leading
-    slot and reduced again.
+    holding the leading degree.  A pivot is stored as (row, inverse): the row
+    covers [degree, precision) with reduced slots, and the inverse is that of
+    its leading slot mod p.  One reduction is ``row += s * pivot`` with the
+    scalar s = (p - c) * inverse mod p, below p, so it adds less than p**2 to
+    each slot.  Row slots stay unreduced; a row meets at most one pivot per
+    degree, so each slot stays below (precision + 1) * p**2 and never carries
+    into the next one.  A new pivot is the row reduced once.
     """
     layout = series._layout
     prime = layout.prime
@@ -326,11 +356,12 @@ def _insert_row(pivots: dict[int, int], series: TruncatedSeries) -> int | None:
             row >>= bits
             degree += 1
             continue
-        pivot = pivots.get(degree)
-        if pivot is None:
-            pivots[degree] = layout.reduce(layout.reduce(row) * pow(c, -1, prime))
+        entry = pivots.get(degree)
+        if entry is None:
+            pivots[degree] = (layout.reduce(row), pow(c, -1, prime))
             return degree
-        row += (prime - c) * pivot
+        pivot, inverse = entry
+        row += (prime - c) * inverse % prime * pivot
     return None
 
 
@@ -365,7 +396,8 @@ def value_semigroup(
     which starts at the conductor, and returns the achieved set below D; rows
     at D and above are neither multiplied out nor reduced.  Raises
     :class:`PrecisionTooSmallError` when no such D fits below ``precision``,
-    since the conductor is then not captured.
+    since the conductor is then not captured; every row below the horizon is
+    then in, and the error carries the achieved set below it.
     """
     prof = RamificationProfile.of(profile)
     orders = prof.orders
@@ -381,7 +413,7 @@ def value_semigroup(
         memo[unit] = base[i]
 
     r1 = orders[0]
-    pivots: dict[int, int] = {}
+    pivots: dict[int, tuple[int, int]] = {}
     achieved = 1  # bit x set for each achieved valuation x, 0 included
     settled = 0  # every row below this degree is in
     for degree, exp in _exponents_below(orders, precision):
@@ -402,7 +434,8 @@ def value_semigroup(
         degree = precision
         if _first_run_start(achieved, r1) is None:
             raise PrecisionTooSmallError(
-                f"no run of {r1} consecutive achieved valuations below {precision}"
+                f"no run of {r1} consecutive achieved valuations below {precision}",
+                (0, *sorted(pivots)),
             )
     return (0, *sorted(d for d in pivots if d < degree))
 
@@ -415,7 +448,7 @@ def start_precision(profile: RamificationProfile | Sequence[int]) -> int:
     always captures the conductor: the monoid lies inside the value semigroup,
     so the conductor is at most c0 and its run of r1 values lies below
     c0 + r1, a monomial degree, where the echelon stops at the latest.  For
-    d > 1 it is an estimate, and :func:`capture_conductors` grows it when it
+    d > 1 it is an estimate, and :func:`capture_conductors` retries when it
     falls short.
     The horizon also exceeds twice the largest order.
     """
@@ -427,6 +460,44 @@ def start_precision(profile: RamificationProfile | Sequence[int]) -> int:
     return max(d * (reduced.frobenius + 1) + orders[0] + d, 2 * orders[-1] + 2)
 
 
+def _horizon_at_least(orders: tuple[int, ...], bound: int) -> int:
+    """The least monomial degree at or above ``bound`` and above the largest order.
+
+    An instance whose conductor is at most bound - r1 stops by this degree, and
+    :func:`value_semigroup` returns the same tuple at every horizon from its
+    stop degree on.  A monomial degree plus r1 is another, so one lies below
+    bound + r1.
+    """
+    bound = max(bound, orders[-1] + 1)
+    return min(d for d, _ in _exponents_below(orders, bound + orders[0]) if d >= bound)
+
+
+def _certain_horizon(orders: tuple[int, ...], achieved: Sequence[int]) -> int | None:
+    """A horizon certain to capture an instance that achieves ``achieved``; None while their gcd exceeds 1.
+
+    ``achieved`` is the sorted achieved set, 0 and the orders included, that a
+    short echelon hands back, or empty.  With gcd 1 its values generate a
+    numerical semigroup inside the instance's, so the instance's conductor is
+    at most that semigroup's.
+    """
+    gens = achieved[1:]
+    if gcd(*gens) != 1:
+        return None
+    # the generated semigroup, grown by blocks of its multiplicity m: a member
+    # in [known, known + m) is a generator plus a member below known.  Not a
+    # NumericalSemigroup, so that traced builds count only the semigroups the
+    # program returns or queries.
+    m = gens[0]
+    members, known = 1, 1
+    while (conductor := _first_run_start(members, m)) is None:
+        grown = 0
+        for g in gens:
+            grown |= members << g
+        members |= grown & (((1 << m) - 1) << known)
+        known += m
+    return _horizon_at_least(orders, conductor + orders[0])
+
+
 def capture_conductors(
     profile: RamificationProfile | Sequence[int],
     seeds: Sequence[int],
@@ -434,18 +505,22 @@ def capture_conductors(
 ) -> list[NumericalSemigroup]:
     """The value semigroup of each seed's instance.
 
-    This is the only place that grows the precision horizon.  Each seed starts
-    at :func:`start_precision` and grows the horizon by half on every
-    :class:`PrecisionTooSmallError`, for at most ``_HORIZON_ATTEMPTS`` horizons.
-    A seed draws one instance at every horizon, so the semigroup it returns
-    does not depend on the horizon that captured it.
+    This is the only place that chooses the precision horizon.  The first seed
+    starts at :func:`start_precision`, every later one at the first seed's stop
+    degree.  A horizon that falls short is followed by the one
+    :func:`_certain_horizon` derives from the values it found, or, while their
+    gcd exceeds 1, by a horizon half as long again; at most
+    ``_HORIZON_ATTEMPTS`` horizons per seed.  A seed draws one instance at every
+    horizon, so the semigroup it returns does not depend on the horizon that
+    captured it.
     The achieved set must hold every value from the conductor it shows through
     its last value, and the members below the conductor must be closed under
     addition: the semigroup generated by them and the r1 values from the
     conductor has no other member below it.
     """
     prof = RamificationProfile.of(profile)
-    r1 = prof.orders[0]
+    orders = prof.orders
+    r1 = orders[0]
     start = start_precision(prof)
     results: list[NumericalSemigroup] = []
     for seed in seeds:
@@ -454,11 +529,11 @@ def capture_conductors(
             try:
                 achieved = value_semigroup(prof, precision, prime, seed)
                 break
-            except PrecisionTooSmallError:
-                precision += precision // 2
+            except PrecisionTooSmallError as short:
+                precision = _certain_horizon(orders, short.achieved) or precision + precision // 2
         else:
             raise PrecisionTooSmallError(
-                f"conductor not captured for {prof.orders} after {_HORIZON_ATTEMPTS} horizons"
+                f"conductor not captured for {orders} after {_HORIZON_ATTEMPTS} horizons"
             )
         bits = _achieved_bits(achieved)
         conductor = _first_run_start(bits, r1)
@@ -473,6 +548,8 @@ def capture_conductors(
         semigroup = NumericalSemigroup(below[1:] + list(range(conductor, conductor + r1)))
         if semigroup.member_count_below(conductor) != len(below):
             raise AchievedSetError("achieved set is not additively closed")
+        if not results:
+            start = _horizon_at_least(orders, conductor + r1)
         results.append(semigroup)
     return results
 

@@ -62,13 +62,21 @@ def reduce_row_by_lists(pivots, valuation, coeffs, prime):
 
 
 def replay_rows(rows, prime):
-    """Insert the series ``rows`` by both routes; return (degrees, pivot lists) of each."""
+    """Insert the series ``rows`` by both routes; return (degrees, pivot lists) of each.
+
+    A packed pivot is kept reduced with the inverse of its leading slot; it is
+    unpacked and multiplied by that inverse, to the list route's leading 1.
+    """
     packed, lists = {}, {}
     got = [series._insert_row(packed, s) for s in rows]
     want = [reduce_row_by_lists(lists, s.valuation, s.coefficients, prime) for s in rows]
     precision = rows[0].precision
     layout = series._layout_of(prime, precision)
-    unpacked = {d: layout.unpack(row, precision - d) for d, row in packed.items()}
+    assert all(layout.is_reduced(row) for row, _ in packed.values())
+    unpacked = {
+        d: [inverse * x % prime for x in layout.unpack(row, precision - d)]
+        for d, (row, inverse) in packed.items()
+    }
     return (got, unpacked), (want, lists)
 
 
@@ -276,6 +284,32 @@ def test_packed_rows_match_list_reduction(prime):
     assert set(achieved) - {0} == {d for d in packed if d <= achieved[-1]}
 
 
+def full_echelon_below(orders, precision, prime, seed):
+    """0 and every pivot degree of the echelon of all monomials below the horizon."""
+    pivots = {}
+    for row in monomial_rows(orders, precision, prime, seed):
+        series._insert_row(pivots, row)
+    return (0, *sorted(pivots))
+
+
+def record_horizons(monkeypatch):
+    """Patch ``series.value_semigroup`` to log (horizon, captured) per call; return the log."""
+    drawn = series.value_semigroup
+    tried = []
+
+    def record(profile, precision, prime=DEFAULT_PRIME, seed=0):
+        try:
+            achieved = drawn(profile, precision, prime, seed)
+        except PrecisionTooSmallError:
+            tried.append((precision, False))
+            raise
+        tried.append((precision, True))
+        return achieved
+
+    monkeypatch.setattr(series, "value_semigroup", record)
+    return tried
+
+
 def full_echelon_stop(orders, precision, prime, seed):
     """The full-horizon achieved set below the first row degree where it holds a run of r1.
 
@@ -298,20 +332,32 @@ def full_echelon_stop(orders, precision, prime, seed):
     + [(32, 36, 40), (5, 7), (6, 9, 10, 15), (12, 15, 20)],
     ids=lambda orders: "-".join(map(str, orders)),
 )
-def test_early_stop_matches_the_full_horizon_echelon(orders):
+def test_early_stop_matches_the_full_horizon_echelon(monkeypatch, orders):
     # the horizons capture_conductors tries, each against the oracle that
-    # inserts every monomial below the horizon
+    # inserts every monomial below the horizon: start_precision for the first
+    # seed, its stop degree for the second, and after a short horizon the
+    # certain one its values give, or a step of 3/2 while their gcd exceeds 1
+    tried = record_horizons(monkeypatch)
+    r1 = orders[0]
     for prime in (2**31 - 1, BIG_PRIME):
+        walked = []
+        precision = start_precision(orders)
         for seed in (0, 1):
-            precision = start_precision(orders)
             while True:
+                walked.append(precision)
                 want = full_echelon_stop(orders, precision, prime, seed)
                 if want is not None:
                     break
-                with pytest.raises(PrecisionTooSmallError):
+                with pytest.raises(PrecisionTooSmallError) as short:
                     value_semigroup(orders, precision, prime, seed)
-                precision += precision // 2
+                found = short.value.achieved
+                assert found == full_echelon_below(orders, precision, prime, seed)
+                precision = series._certain_horizon(orders, found) or precision + precision // 2
             assert value_semigroup(orders, precision, prime, seed) == want
+            precision = series._horizon_at_least(orders, series.detect_conductor(want, r1) + r1)
+        tried.clear()
+        series.capture_conductors(orders, [0, 1], prime)
+        assert [h for h, _ in tried] == walked
 
 
 def test_early_stop_inserts_85_rows_at_l_14(monkeypatch):
@@ -394,6 +440,106 @@ def test_gcd_one_profiles_capture_at_the_start(orders):
     assert start > NumericalSemigroup(orders).conductor + orders[0]
     for seed in range(4):
         assert value_semigroup(orders, start, seed=seed)
+
+
+def least_monomial_degree(orders, bound):
+    """The least sum of orders at or above ``bound`` and above the largest order, from a table of sums."""
+    sums, degree = {0}, 0
+    while True:
+        degree += 1
+        if any(degree - r in sums for r in orders):
+            sums.add(degree)
+            if degree >= bound and degree > orders[-1]:
+                return degree
+
+
+@pytest.mark.parametrize(
+    "orders, horizons",
+    [((28, 30, 32), [226, 200, 200]), ((2, 3, 4), [10, 5, 5])],
+    ids=["28-30-32", "2-3-4"],
+)
+def test_later_seeds_start_at_the_first_seeds_stop_degree(monkeypatch, orders, horizons):
+    # (28, 30, 32): seed 0 stops at 200 = 5 * 28 + 2 * 30, the least monomial
+    # degree at or above its conductor + 28.  (2, 3, 4): conductor + r1 = 4 is
+    # r3, and a horizon must exceed every order.  Later seeds have the same
+    # semigroup and are captured at the stop degree at once.
+    tried = record_horizons(monkeypatch)
+    first, *later = series.capture_conductors(orders, range(3))
+    assert tried == [(h, True) for h in horizons]
+    assert horizons[0] == start_precision(orders)
+    assert least_monomial_degree(orders, first.conductor + orders[0]) == horizons[1]
+    assert later == [first, first]
+
+
+@pytest.mark.parametrize("l", range(4, 11))
+def test_short_first_horizon_retries_at_a_certain_one(monkeypatch, l):
+    # the m = 2 profiles have gcd 2, so start_precision is an estimate; its
+    # values have gcd 1, and the least monomial degree at or above the
+    # conductor of the semigroup they generate, plus r1, captures the seed
+    tried = record_horizons(monkeypatch)
+    orders = (2 * l, 2 * l + 2, 2 * l + 4)
+    start = start_precision(orders)
+    with pytest.raises(PrecisionTooSmallError) as short:
+        value_semigroup(orders, start, seed=0)
+    found = short.value.achieved
+    assert found == full_echelon_below(orders, start, DEFAULT_PRIME, 0)
+    certain = least_monomial_degree(orders, NumericalSemigroup(found[1:]).conductor + orders[0])
+    assert certain != start + start // 2
+    tried.clear()
+    (captured,) = series.capture_conductors(orders, [0])
+    assert tried == [(start, False), (certain, True)]
+    assert captured == series.capture_conductors(orders, [0])[0]
+
+
+def test_later_seed_short_at_the_stop_degree_keeps_its_own_semigroup(monkeypatch):
+    # profile (6, 9), whose monomial degrees are the multiples of 3 but 3.
+    # Seeds 0 and 2 are the instance <6, 9, 11>, conductor 26, stop degree 33;
+    # seed 1 is <6, 9, 14>, conductor 32, stop degree 39.  Seed 0 is short at
+    # start_precision 20 and seed 1 at 33; the semigroup of the values each
+    # found has the instance's conductor, and conductor + 6 (32, 38) is
+    # rounded up to the next monomial degree
+    instances = {0: (6, 9, 11), 1: (6, 9, 14), 2: (6, 9, 11)}
+    tried = []
+
+    def instance(profile, precision, prime=DEFAULT_PRIME, seed=0):
+        # the echelon's contract: the values below the stop degree or the
+        # horizon, short while they hold no run of r1
+        semigroup = NumericalSemigroup(instances[seed])
+        stop = least_monomial_degree((6, 9), semigroup.conductor + 6)
+        values = tuple(x for x in range(min(precision, stop)) if semigroup.contains(x))
+        tried.append((seed, precision))
+        if series.detect_conductor(values, 6) is None:
+            raise PrecisionTooSmallError("short", values)
+        return values
+
+    monkeypatch.setattr(series, "value_semigroup", instance)
+    got = series.capture_conductors((6, 9), range(3))
+    assert got == [NumericalSemigroup(instances[seed]) for seed in range(3)]
+    assert tried == [(0, 20), (0, 33), (1, 33), (1, 39), (2, 33)]
+    with pytest.raises(series.SeedDisagreementError):
+        empirical_generic_semigroup((6, 9))
+
+
+@pytest.mark.parametrize(
+    "prime", [2**31 - 1, 2**61 - 1, BIG_PRIME, 2**40 + 15], ids=["2^31-1", "2^61-1", "2^64-59", "2^40+15"]
+)
+def test_draws_match_randrange(prime):
+    # getrandbits with rejection is how CPython's randrange draws below a
+    # prime; just above a power of two about half the draws are rejected
+    class Counting(random.Random):
+        calls = 0
+
+        def getrandbits(self, k):
+            self.calls += 1
+            return super().getrandbits(k)
+
+    n = 2000
+    drawing, reference = Counting(prime), random.Random(prime)
+    drawn = series._draw_series(drawing, 3, n + 4, prime)
+    assert drawn.coefficients == (1, *(reference.randrange(prime) for _ in range(n)))
+    assert drawing.getstate() == reference.getstate()
+    if prime == 2**40 + 15:
+        assert 1.8 * n < drawing.calls < 2.2 * n
 
 
 def test_packed_row_worst_case_slots():
