@@ -21,12 +21,9 @@ generic.
 The horizon rule: the first seed starts at :func:`start_precision`, which
 provably captures every profile with gcd 1, and every later seed at the first
 seed's stop degree, where a seed with the same semigroup is captured at once.
-A horizon that falls short has inserted every row below it, so its values are
-the instance's values below it; once they have gcd 1, the semigroup they
-generate lies inside the instance's, and the least monomial degree at or
-above its conductor + r1 is certain to capture.  Only while their gcd exceeds
-1 does the horizon grow by half instead.  Once the achieved set is checked to
-be additively closed, the value semigroup is a
+A horizon that falls short, as start_precision can for gcd > 1, grows by half,
+to no less than start_precision.  Once the achieved set is checked to be
+additively closed, the value semigroup is a
 :class:`~cuspsemi.semigroup.NumericalSemigroup` like any other.
 
 Every series is one Python integer with a fixed-width slot per degree
@@ -62,25 +59,18 @@ _MIN_PRIME = 1 << 30
 # 3.3 * 10**24, so every modulus below 2**64 is decided exactly.
 _MAX_PRIME = 1 << 64
 _WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-# Horizons tried per seed.  A short horizon whose values have gcd 1 is followed
-# by one certain to capture; only while their gcd exceeds 1 does the horizon
-# grow by half.  From start_precision, sixteen steps of 3/2 reach at least 256
-# times 2d(F + 1) + 2, with F the Frobenius number of the orders over their
-# gcd d: about twice start_precision, as far as eight doublings from it would.
+# Horizons tried per seed.  The first seed's are start_precision and up to
+# sixteen steps of 3/2; with F the Frobenius number of the orders over their
+# gcd d, the last is at least 256 times 2d(F + 1) + 2, about twice
+# start_precision: as far as eight doublings from that value would reach.  A
+# later seed starts at the first seed's stop degree and steps by 3/2 to no less
+# than start_precision, so its k-th horizon is at least the first seed's
+# (k - 1)-th and its last at least 128 times 2d(F + 1) + 2.
 _HORIZON_ATTEMPTS = 17
 
 
 class PrecisionTooSmallError(ValueError):
-    """The precision horizon is too small to capture the conductor.
-
-    ``achieved`` holds the valuations, 0 included, that a short echelon found
-    below the horizon after inserting every row below it; it is empty when no
-    echelon ran.
-    """
-
-    def __init__(self, message: str, achieved: tuple[int, ...] = ()) -> None:
-        super().__init__(message)
-        self.achieved = achieved
+    """The precision horizon is too small to capture the conductor."""
 
 
 class SeedDisagreementError(RuntimeError):
@@ -277,21 +267,9 @@ def _check_prime(prime: int) -> None:
 
 
 def _draw_series(rng: random.Random, valuation: int, precision: int, prime: int) -> TruncatedSeries:
-    """Leading coefficient 1, the higher ones drawn from ``rng`` in degree order and packed.
-
-    Each coefficient is ``rng.getrandbits(bits(prime))``, redrawn while it is
-    at least the prime: the values ``rng.randrange(prime)`` gives, without its
-    per-call overhead.
-    """
+    """Leading coefficient 1, the higher ones drawn from ``rng`` in degree order and packed."""
     layout = _layout_of(prime, precision)
-    getrandbits = rng.getrandbits
-    k = prime.bit_length()
-    coeffs = [1]
-    for _ in range(precision - valuation - 1):
-        x = getrandbits(k)
-        while x >= prime:
-            x = getrandbits(k)
-        coeffs.append(x)
+    coeffs = [1] + [rng.randrange(prime) for _ in range(precision - valuation - 1)]
     return TruncatedSeries(valuation, layout.pack(coeffs), layout)
 
 
@@ -396,8 +374,7 @@ def value_semigroup(
     which starts at the conductor, and returns the achieved set below D; rows
     at D and above are neither multiplied out nor reduced.  Raises
     :class:`PrecisionTooSmallError` when no such D fits below ``precision``,
-    since the conductor is then not captured; every row below the horizon is
-    then in, and the error carries the achieved set below it.
+    since the conductor is then not captured.
     """
     prof = RamificationProfile.of(profile)
     orders = prof.orders
@@ -434,8 +411,7 @@ def value_semigroup(
         degree = precision
         if _first_run_start(achieved, r1) is None:
             raise PrecisionTooSmallError(
-                f"no run of {r1} consecutive achieved valuations below {precision}",
-                (0, *sorted(pivots)),
+                f"no run of {r1} consecutive achieved valuations below {precision}"
             )
     return (0, *sorted(d for d in pivots if d < degree))
 
@@ -472,32 +448,6 @@ def _horizon_at_least(orders: tuple[int, ...], bound: int) -> int:
     return min(d for d, _ in _exponents_below(orders, bound + orders[0]) if d >= bound)
 
 
-def _certain_horizon(orders: tuple[int, ...], achieved: Sequence[int]) -> int | None:
-    """A horizon certain to capture an instance that achieves ``achieved``; None while their gcd exceeds 1.
-
-    ``achieved`` is the sorted achieved set, 0 and the orders included, that a
-    short echelon hands back, or empty.  With gcd 1 its values generate a
-    numerical semigroup inside the instance's, so the instance's conductor is
-    at most that semigroup's.
-    """
-    gens = achieved[1:]
-    if gcd(*gens) != 1:
-        return None
-    # the generated semigroup, grown by blocks of its multiplicity m: a member
-    # in [known, known + m) is a generator plus a member below known.  Not a
-    # NumericalSemigroup, so that traced builds count only the semigroups the
-    # program returns or queries.
-    m = gens[0]
-    members, known = 1, 1
-    while (conductor := _first_run_start(members, m)) is None:
-        grown = 0
-        for g in gens:
-            grown |= members << g
-        members |= grown & (((1 << m) - 1) << known)
-        known += m
-    return _horizon_at_least(orders, conductor + orders[0])
-
-
 def capture_conductors(
     profile: RamificationProfile | Sequence[int],
     seeds: Sequence[int],
@@ -507,10 +457,9 @@ def capture_conductors(
 
     This is the only place that chooses the precision horizon.  The first seed
     starts at :func:`start_precision`, every later one at the first seed's stop
-    degree.  A horizon that falls short is followed by the one
-    :func:`_certain_horizon` derives from the values it found, or, while their
-    gcd exceeds 1, by a horizon half as long again; at most
-    ``_HORIZON_ATTEMPTS`` horizons per seed.  A seed draws one instance at every
+    degree.  A horizon that falls short is followed by one half as long again,
+    but no shorter than :func:`start_precision`; at most ``_HORIZON_ATTEMPTS``
+    horizons per seed.  A seed draws one instance at every
     horizon, so the semigroup it returns does not depend on the horizon that
     captured it.
     The achieved set must hold every value from the conductor it shows through
@@ -521,7 +470,7 @@ def capture_conductors(
     prof = RamificationProfile.of(profile)
     orders = prof.orders
     r1 = orders[0]
-    start = start_precision(prof)
+    first = start = start_precision(prof)
     results: list[NumericalSemigroup] = []
     for seed in seeds:
         precision = start
@@ -529,8 +478,8 @@ def capture_conductors(
             try:
                 achieved = value_semigroup(prof, precision, prime, seed)
                 break
-            except PrecisionTooSmallError as short:
-                precision = _certain_horizon(orders, short.achieved) or precision + precision // 2
+            except PrecisionTooSmallError:
+                precision = max(precision + precision // 2, first)
         else:
             raise PrecisionTooSmallError(
                 f"conductor not captured for {orders} after {_HORIZON_ATTEMPTS} horizons"

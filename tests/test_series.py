@@ -284,14 +284,6 @@ def test_packed_rows_match_list_reduction(prime):
     assert set(achieved) - {0} == {d for d in packed if d <= achieved[-1]}
 
 
-def full_echelon_below(orders, precision, prime, seed):
-    """0 and every pivot degree of the echelon of all monomials below the horizon."""
-    pivots = {}
-    for row in monomial_rows(orders, precision, prime, seed):
-        series._insert_row(pivots, row)
-    return (0, *sorted(pivots))
-
-
 def record_horizons(monkeypatch):
     """Patch ``series.value_semigroup`` to log (horizon, captured) per call; return the log."""
     drawn = series.value_semigroup
@@ -335,24 +327,22 @@ def full_echelon_stop(orders, precision, prime, seed):
 def test_early_stop_matches_the_full_horizon_echelon(monkeypatch, orders):
     # the horizons capture_conductors tries, each against the oracle that
     # inserts every monomial below the horizon: start_precision for the first
-    # seed, its stop degree for the second, and after a short horizon the
-    # certain one its values give, or a step of 3/2 while their gcd exceeds 1
+    # seed, its stop degree for the second, and after a short horizon a step
+    # of 3/2 to no less than start_precision
     tried = record_horizons(monkeypatch)
     r1 = orders[0]
     for prime in (2**31 - 1, BIG_PRIME):
         walked = []
-        precision = start_precision(orders)
+        first = precision = start_precision(orders)
         for seed in (0, 1):
             while True:
                 walked.append(precision)
                 want = full_echelon_stop(orders, precision, prime, seed)
                 if want is not None:
                     break
-                with pytest.raises(PrecisionTooSmallError) as short:
+                with pytest.raises(PrecisionTooSmallError):
                     value_semigroup(orders, precision, prime, seed)
-                found = short.value.achieved
-                assert found == full_echelon_below(orders, precision, prime, seed)
-                precision = series._certain_horizon(orders, found) or precision + precision // 2
+                precision = max(precision + precision // 2, first)
             assert value_semigroup(orders, precision, prime, seed) == want
             precision = series._horizon_at_least(orders, series.detect_conductor(want, r1) + r1)
         tried.clear()
@@ -472,32 +462,25 @@ def test_later_seeds_start_at_the_first_seeds_stop_degree(monkeypatch, orders, h
 
 
 @pytest.mark.parametrize("l", range(4, 11))
-def test_short_first_horizon_retries_at_a_certain_one(monkeypatch, l):
-    # the m = 2 profiles have gcd 2, so start_precision is an estimate; its
-    # values have gcd 1, and the least monomial degree at or above the
-    # conductor of the semigroup they generate, plus r1, captures the seed
+def test_short_first_horizon_takes_one_step_of_three_halves(monkeypatch, l):
+    # the m = 2 profiles have gcd 2, so start_precision is an estimate; it
+    # falls short for seed 0, one step of 3/2 captures it, and seeds 1 and 2
+    # are captured at seed 0's stop degree
     tried = record_horizons(monkeypatch)
     orders = (2 * l, 2 * l + 2, 2 * l + 4)
     start = start_precision(orders)
-    with pytest.raises(PrecisionTooSmallError) as short:
-        value_semigroup(orders, start, seed=0)
-    found = short.value.achieved
-    assert found == full_echelon_below(orders, start, DEFAULT_PRIME, 0)
-    certain = least_monomial_degree(orders, NumericalSemigroup(found[1:]).conductor + orders[0])
-    assert certain != start + start // 2
-    tried.clear()
-    (captured,) = series.capture_conductors(orders, [0])
-    assert tried == [(start, False), (certain, True)]
-    assert captured == series.capture_conductors(orders, [0])[0]
+    first, *later = series.capture_conductors(orders, range(3))
+    stop = least_monomial_degree(orders, first.conductor + orders[0])
+    assert tried == [(start, False), (start + start // 2, True), (stop, True), (stop, True)]
+    assert later == [first, first]
 
 
 def test_later_seed_short_at_the_stop_degree_keeps_its_own_semigroup(monkeypatch):
     # profile (6, 9), whose monomial degrees are the multiples of 3 but 3.
     # Seeds 0 and 2 are the instance <6, 9, 11>, conductor 26, stop degree 33;
     # seed 1 is <6, 9, 14>, conductor 32, stop degree 39.  Seed 0 is short at
-    # start_precision 20 and seed 1 at 33; the semigroup of the values each
-    # found has the instance's conductor, and conductor + 6 (32, 38) is
-    # rounded up to the next monomial degree
+    # start_precision 20 and at 30 and captured at 45; seed 1 is short at 33
+    # and captured at 49
     instances = {0: (6, 9, 11), 1: (6, 9, 14), 2: (6, 9, 11)}
     tried = []
 
@@ -509,37 +492,44 @@ def test_later_seed_short_at_the_stop_degree_keeps_its_own_semigroup(monkeypatch
         values = tuple(x for x in range(min(precision, stop)) if semigroup.contains(x))
         tried.append((seed, precision))
         if series.detect_conductor(values, 6) is None:
-            raise PrecisionTooSmallError("short", values)
+            raise PrecisionTooSmallError("short")
         return values
 
     monkeypatch.setattr(series, "value_semigroup", instance)
     got = series.capture_conductors((6, 9), range(3))
     assert got == [NumericalSemigroup(instances[seed]) for seed in range(3)]
-    assert tried == [(0, 20), (0, 33), (1, 33), (1, 39), (2, 33)]
+    assert tried == [(0, 20), (0, 30), (0, 45), (1, 33), (1, 49), (2, 33)]
     with pytest.raises(series.SeedDisagreementError):
         empirical_generic_semigroup((6, 9))
 
 
-@pytest.mark.parametrize(
-    "prime", [2**31 - 1, 2**61 - 1, BIG_PRIME, 2**40 + 15], ids=["2^31-1", "2^61-1", "2^64-59", "2^40+15"]
-)
-def test_draws_match_randrange(prime):
-    # getrandbits with rejection is how CPython's randrange draws below a
-    # prime; just above a power of two about half the draws are rejected
-    class Counting(random.Random):
-        calls = 0
+def test_later_seed_ladder_keeps_to_the_first_seeds(monkeypatch):
+    # a stub seed 0 of (28, 30, 32) with conductor 28 stops at 56 = 2 * 28,
+    # far below start_precision 226.  A later seed never captured starts at 56
+    # and steps by 3/2 to no less than 226, so each of its horizons is at
+    # least the one before it on seed 0's ladder
+    orders = (28, 30, 32)
+    tried = []
 
-        def getrandbits(self, k):
-            self.calls += 1
-            return super().getrandbits(k)
+    def only_seed_zero(profile, precision, prime=DEFAULT_PRIME, seed=0):
+        tried.append(precision)
+        if seed == 0:
+            return (0, *range(28, 56))
+        raise PrecisionTooSmallError("stub")
 
-    n = 2000
-    drawing, reference = Counting(prime), random.Random(prime)
-    drawn = series._draw_series(drawing, 3, n + 4, prime)
-    assert drawn.coefficients == (1, *(reference.randrange(prime) for _ in range(n)))
-    assert drawing.getstate() == reference.getstate()
-    if prime == 2**40 + 15:
-        assert 1.8 * n < drawing.calls < 2.2 * n
+    monkeypatch.setattr(series, "value_semigroup", only_seed_zero)
+    with pytest.raises(PrecisionTooSmallError):
+        series.capture_conductors(orders, [0, 1])
+    ladder = [start_precision(orders)]
+    while len(ladder) < series._HORIZON_ATTEMPTS:
+        ladder.append(ladder[-1] + ladder[-1] // 2)
+    first, *later = tried
+    assert first == ladder[0] == 226
+    assert later[:3] == [56, 226, 339]
+    assert len(later) == series._HORIZON_ATTEMPTS
+    assert all(h >= ladder[k - 1] for k, h in enumerate(later) if k)
+    frobenius = NumericalSemigroup((14, 15, 16)).frobenius
+    assert later[-1] >= (2 * 2 * (frobenius + 1) + 2) * 128
 
 
 def test_packed_row_worst_case_slots():
