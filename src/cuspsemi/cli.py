@@ -3,7 +3,12 @@
 Exit codes: 0 success, 1 verification failure, 2 usage error (an unwritable
 ``--out`` too), 3 numeric error, 4 seed disagreement.  All output is
 deterministic for fixed arguments; sweep files carry a provenance comment line
-with the toolkit version and seed.
+with the toolkit version and seed.  A sweep keeps its output in memory as the
+rows come, a CSV row as text, not as a tuple, and writes it after the last row.
+
+The module imports neither ``inspect`` nor ``dataclasses``, which would load
+``ast``, ``dis`` and ``tokenize`` at every start: flag names are read from a
+checker's code object.
 """
 
 from __future__ import annotations
@@ -11,7 +16,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
-import inspect
+import io
 import itertools
 import json
 import os
@@ -114,9 +119,14 @@ def _flag_kwargs(func: object, args: argparse.Namespace, command: str) -> dict:
 
     A flag ``func`` has no parameter for is a usage error, except ``--seed``,
     which every verify id and sweep family accepts so that one seed can be
-    passed to all of them.
+    passed to all of them.  The names are read from the code object, after
+    any ``__wrapped__`` of a ``functools.wraps`` wrapper; ``func`` takes no
+    ``*args`` or ``**kwargs``.
     """
-    params = inspect.signature(func).parameters  # type: ignore[arg-type]
+    while hasattr(func, "__wrapped__"):
+        func = func.__wrapped__
+    code = func.__code__  # type: ignore[attr-defined]
+    params = code.co_varnames[: code.co_argcount + code.co_kwonlyargcount]
     skip = {*params, "command", "theorem", "list_theorems", "func", "seed", "family", "format", "out"}
     unread = [f"--{name.replace('_', '-')}" for name, value in vars(args).items()
               if value is not None and name not in skip]
@@ -182,9 +192,8 @@ def _supersym_row(a: int, b: int, c: int) -> tuple:
 
 
 def _supersym_rows(max_abc: int = 2000, min_a: int = 2) -> Iterator[tuple]:
-    # listed here, so that a bad --min-a fails before --out is opened
-    triples = list(supersym.coprime_triples(max_abc, min_a=min_a))
-    return (_supersym_row(*t) for t in triples)
+    # coprime_triples checks min_a when called, so a bad --min-a fails before --out is opened
+    return itertools.starmap(_supersym_row, supersym.coprime_triples(max_abc, min_a=min_a))
 
 
 def _arith_rows(m: range = range(2, 5), l: range = range(4, 13)) -> Iterator[tuple]:
@@ -225,9 +234,10 @@ _SWEEPS = {
 def cmd_sweep(args: argparse.Namespace) -> int:
     columns, rows_fn = _SWEEPS[args.family]
     rows = rows_fn(**_flag_kwargs(rows_fn, args, f"sweep --family {args.family}"))
-    # an unwritable --out fails here, before the first row; a failing row writes nothing
+    # an unwritable --out fails here, before the first row.  The output is
+    # built in memory as the rows come, CSV rows as text and JSON rows as
+    # dicts, and written after the last row, so a failing row writes nothing
     with _open_out(args.out) as fh:
-        rows = list(rows)
         if args.format == "json":
             payload = {
                 "toolkit_version": cuspsemi.__version__,
@@ -237,12 +247,14 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             }
             fh.write(json.dumps(payload, indent=2) + "\n")
         else:
-            fh.write(f"# cuspsemi {cuspsemi.__version__} family={args.family} seed={args.seed}\n")
-            writer = csv.writer(fh, lineterminator="\n")
+            text = io.StringIO()
+            text.write(f"# cuspsemi {cuspsemi.__version__} family={args.family} seed={args.seed}\n")
+            writer = csv.writer(text, lineterminator="\n")
             writer.writerow(columns)
             for row in rows:
                 # csv writes None as an empty cell
                 writer.writerow([("true" if v else "false") if type(v) is bool else v for v in row])
+            fh.write(text.getvalue())
     return 0
 
 

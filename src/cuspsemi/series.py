@@ -46,7 +46,6 @@ slot; coefficients are unpacked only when they are read.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from math import gcd
 from typing import Sequence
@@ -78,28 +77,50 @@ class SeedDisagreementError(RuntimeError):
 
 
 class AchievedSetError(RuntimeError, ArithmeticError):
-    """A Monte-Carlo achieved set is not the value set of a numerical semigroup.
+    """A Monte-Carlo achieved set is not a semigroup's value set, or its echelon overflowed a slot.
 
     As an ArithmeticError the command line maps it to the numeric-failure exit
     code 3; as a RuntimeError it is still caught by ``except RuntimeError``.
     """
 
 
-@dataclass(frozen=True)
-class RamificationProfile:
+class _Frozen:
+    """Refuses attribute assignment and deletion; ``__init__`` sets fields by object.__setattr__."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class RamificationProfile(_Frozen):
     """Strictly increasing vanishing orders (r1, ..., rn), with r1 >= 2 and n >= 2."""
 
-    orders: tuple[int, ...]
+    __slots__ = ("orders",)
 
-    def __post_init__(self) -> None:
-        orders = tuple(int(r) for r in self.orders)
-        object.__setattr__(self, "orders", orders)
+    def __init__(self, orders: Sequence[int]) -> None:
+        orders = tuple(int(r) for r in orders)
         if len(orders) < 2:
             raise ValueError("a profile needs at least two orders")
         if orders[0] < 2:
             raise ValueError("the smallest order must be at least 2")
         if any(b <= a for a, b in zip(orders, orders[1:])):
             raise ValueError("orders must be strictly increasing")
+        object.__setattr__(self, "orders", orders)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.orders == other.orders
+
+    def __hash__(self) -> int:
+        return hash((self.orders,))
+
+    def __repr__(self) -> str:
+        return f"RamificationProfile(orders={self.orders!r})"
 
     # perfbench/tracer.py reads this name; it goes with ROADMAP item 11's tracer change
     @classmethod
@@ -183,21 +204,15 @@ def _layout_of(prime: int, precision: int) -> _Layout:
     return _Layout(prime, precision)
 
 
-@dataclass(frozen=True, init=False)
-class TruncatedSeries:
+class TruncatedSeries(_Frozen):
     """Power series over F_p known on degrees [valuation, precision).
 
     The series is one packed int (``packed``) in the layout of its horizon,
     slot k holding the coefficient of t**(valuation + k); the leading slot is
     nonzero mod p and every slot is reduced.  ``coefficients`` unpacks the
-    slots when it is first read.
+    slots when it is first read.  Two series are equal when their valuation,
+    packed int, precision and prime are.
     """
-
-    valuation: int
-    packed: int
-    precision: int
-    prime: int
-    _layout: _Layout = field(compare=False, repr=False)
 
     def __init__(self, valuation: int, packed: int, layout: _Layout) -> None:
         precision = layout.precision
@@ -215,6 +230,20 @@ class TruncatedSeries:
         setfield(self, "precision", precision)
         setfield(self, "prime", layout.prime)
         setfield(self, "_layout", layout)
+
+    def _key(self) -> tuple[int, int, int, int]:
+        return self.valuation, self.packed, self.precision, self.prime
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return "TruncatedSeries(valuation={}, packed={}, precision={}, prime={})".format(*self._key())
 
     # perfbench/tracer.py reads this name; it goes with ROADMAP item 11's tracer change
     @cached_property
@@ -321,25 +350,34 @@ def _insert_row(pivots: dict[int, tuple[int, int]], series: TruncatedSeries) -> 
     each slot.  Row slots stay unreduced; a row meets at most one pivot per
     degree, so each slot stays below (precision + 1) * p**2 and never carries
     into the next one.  A new pivot is the row reduced once.
+
+    A reduction must leave the lowest slot at 0 mod p, and the row must be
+    zero once its degree reaches the precision; a slot that overflowed breaks
+    one or the other and raises :class:`AchievedSetError`, so the loop runs at
+    most 2 * (precision - valuation) + 1 times.
     """
     layout = series._layout
     prime = layout.prime
     bits = layout.bits
     mask = layout.slot_mask
+    precision = layout.precision
     row = series.packed
     degree = series.valuation
     while row:
+        if degree >= precision:
+            raise AchievedSetError(f"echelon row overflowed past the precision horizon {precision}")
         c = (row & mask) % prime
-        if not c:
-            row >>= bits
-            degree += 1
-            continue
-        entry = pivots.get(degree)
-        if entry is None:
-            pivots[degree] = (layout.reduce(row), pow(c, -1, prime))
-            return degree
-        pivot, inverse = entry
-        row += (prime - c) * inverse % prime * pivot
+        if c:
+            entry = pivots.get(degree)
+            if entry is None:
+                pivots[degree] = (layout.reduce(row), pow(c, -1, prime))
+                return degree
+            pivot, inverse = entry
+            row += (prime - c) * inverse % prime * pivot
+            if (row & mask) % prime:
+                raise AchievedSetError(f"echelon reduction left degree {degree} nonzero: a slot overflowed")
+        row >>= bits
+        degree += 1
     return None
 
 

@@ -63,11 +63,15 @@ def pairwise_products(a: int, b: int, c: int) -> tuple[int, int, int]:
 def coprime_triples(max_abc: int, min_a: int = 2) -> Iterator[tuple[int, int, int]]:
     """All pairwise coprime triples min_a <= a < b < c with abc <= max_abc, ascending.
 
-    Raises ValueError before the first triple when min_a < 2.
+    Raises ValueError when called with min_a < 2, before any triple is asked for.
     """
     if min_a < 2:
         raise ValueError(f"min_a must be at least 2, got min_a={min_a}")
-    a = min_a
+    return _coprime_triples(max_abc, min_a)
+
+
+def _coprime_triples(max_abc: int, a: int) -> Iterator[tuple[int, int, int]]:
+    """:func:`coprime_triples` from a checked ``min_a``, here ``a``."""
     while a * (a + 1) * (a + 2) <= max_abc:
         b = a + 1
         while a * b * (b + 1) <= max_abc:

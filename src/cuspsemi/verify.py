@@ -20,25 +20,36 @@ from __future__ import annotations
 
 import random
 from collections.abc import Callable, Iterable, Sequence
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from cuspsemi import arith, series, severi, supersym
 from cuspsemi.semigroup import NumericalSemigroup
 
 
-@dataclass(frozen=True)
-class CheckRow:
+class CheckRow(NamedTuple):
     label: str
     ok: bool | None
     detail: str = ""
 
 
-@dataclass
 class CheckResult:
-    theorem: str
-    rows: list[CheckRow] = field(default_factory=list)
-    findings: list[str] = field(default_factory=list)
+    """A checker's rows and findings; equal when theorem, rows and findings are."""
+
+    def __init__(
+        self, theorem: str, rows: list[CheckRow] | None = None, findings: list[str] | None = None
+    ) -> None:
+        self.theorem = theorem
+        self.rows = [] if rows is None else rows
+        self.findings = [] if findings is None else findings
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.theorem, self.rows, self.findings) == (other.theorem, other.rows, other.findings)
+
+    def __repr__(self) -> str:
+        return f"CheckResult(theorem={self.theorem!r}, rows={self.rows!r}, findings={self.findings!r})"
 
     @property
     def passed(self) -> bool:

@@ -1,8 +1,11 @@
+import functools
+import hashlib
 import inspect
 import json
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -381,6 +384,32 @@ def test_verify_failure_exit_one(capsys, monkeypatch):
     assert "result: FAIL" in out
 
 
+
+@pytest.mark.parametrize("argv", [("--max-abc", "500", "--seed", "3"), ("--l", "4..5")])
+def test_verify_reads_flags_through_a_wraps_wrapper(capsys, monkeypatch, argv):
+    # perfbench/tracer.py wraps every checker this way; its parameters are read through __wrapped__
+    plain = run_cli(capsys, "verify", "sprime", *argv)
+    description, func = verify.THEOREMS["sprime"]
+
+    @functools.wraps(func)
+    def wrapped(*args, **kwargs):
+        return func(*args, **kwargs)
+
+    monkeypatch.setitem(verify.THEOREMS, "sprime", (description, wrapped))
+    assert run_cli(capsys, "verify", "sprime", *argv) == plain
+    assert plain[0] == (0 if "--seed" in argv else 2)
+
+
+def test_cli_import_loads_neither_inspect_nor_dataclasses():
+    # either one pulls in ast, dis and tokenize: about 1 MB and several ms per start
+    src = str(Path(cuspsemi.__file__).resolve().parents[1])
+    script = (
+        f"import sys; sys.path.insert(0, {src!r}); before = set(sys.modules); import cuspsemi.cli; "
+        "print(sorted({'inspect', 'dataclasses'} & (set(sys.modules) - before)))"
+    )
+    proc = subprocess.run([sys.executable, "-I", "-c", script], capture_output=True, text=True, check=True)
+    assert proc.stdout == "[]\n"
+
 def test_verify_flag_passthrough(capsys):
     code, out, _ = run_cli(capsys, "verify", "supersym-invariants", "--max-abc", "300")
     assert code == 0
@@ -567,6 +596,25 @@ def test_sweep_failures_keep_their_order(capsys, monkeypatch, tmp_path):
     assert rows == [(2, 3, 5), (2, 3, 7)]
     assert target.read_text() == ""
 
+
+
+# SHA-256 of sweep stdout, recorded before the rows were kept as text; the
+# first line carries the toolkit version, so a version bump moves every pin
+SWEEP_SHA256 = [
+    (("--family", "supersym", "--max-abc", "2000"),
+     "865c9b418352cb7fed07ae25c0b3c64bf53d961899f3e837a9817d1cb92ee785"),
+    (("--family", "supersym", "--max-abc", "2000", "--format", "json"),
+     "3941dc9a86073eca1fbb4ba04b8cb4d052e15d3a8e1b05eb18417e1cab74e9ea"),
+    (("--family", "arith"), "92b5ce3f2734933284b2d5a00129c6090bffc2f2a7e97ffeb27dd2d5f2911727"),
+    (("--family", "generic", "--l", "4..6"), "3bd7cd6683b24a039b65536752acbcf96570f28befa6dac875f515ee4483da88"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", SWEEP_SHA256, ids=lambda x: "_".join(x) if isinstance(x, tuple) else "")
+def test_sweep_bytes_are_pinned(capsys, argv, digest):
+    code, out, err = run_cli(capsys, "sweep", *argv)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 def test_sweep_deterministic(capsys):
     args = ("sweep", "--family", "supersym", "--max-abc", "400")

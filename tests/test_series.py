@@ -1,5 +1,6 @@
 import os
 import random
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -364,6 +365,34 @@ def test_early_stop_inserts_85_rows_at_l_14(monkeypatch):
     value_semigroup(orders, start_precision(orders), seed=0)
     assert len(rows) == 85
 
+
+
+@pytest.mark.parametrize("where", ["leading slot", "top slot"])
+def test_insert_row_raises_on_an_overflowed_pivot(where):
+    # a slot that carried into its neighbour once made the loop spin forever
+    precision, valuation = 12, 3
+    f = series._draw_series(random.Random(5), valuation, precision, DEFAULT_PRIME)
+    layout = f._layout
+    pivots = {}
+    assert series._insert_row(pivots, f) == valuation
+    pivot, inverse = pivots[valuation]
+    if where == "leading slot":  # it reads 0 and the next slot 1 more
+        pivot += (1 << layout.bits) - (pivot & layout.slot_mask)
+    else:  # it spills past the horizon
+        pivot += 1 << (precision - valuation) * layout.bits
+    pivots[valuation] = (pivot, inverse)
+
+    def too_slow(signum, frame):
+        raise TimeoutError("_insert_row ran for a second")
+
+    previous = signal.signal(signal.SIGALRM, too_slow)
+    signal.setitimer(signal.ITIMER_REAL, 1.0)
+    try:
+        with pytest.raises(series.AchievedSetError):
+            series._insert_row(pivots, f)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 def _tag(orders):
     return "-".join(map(str, orders))

@@ -38,6 +38,8 @@ def test_coprime_triples_enumeration():
 @pytest.mark.parametrize("min_a", [-3, 0, 1])
 def test_coprime_triples_rejects_min_a_below_two(min_a):
     with pytest.raises(ValueError, match="min_a must be at least 2"):
+        supersym.coprime_triples(10, min_a=min_a)  # the call raises, before any next()
+    with pytest.raises(ValueError, match="min_a must be at least 2"):
         next(supersym.coprime_triples(10, min_a=min_a))
 
 
