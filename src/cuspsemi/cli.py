@@ -4,7 +4,7 @@ Exit codes: 0 success, 1 verification failure, 2 usage error (an unwritable
 ``--out`` too), 3 numeric error, 4 seed disagreement.  All output is
 deterministic for fixed arguments; sweep files carry a provenance comment line
 with the toolkit version and seed.  A sweep keeps its output in memory as the
-rows come, a CSV row as text, not as a tuple, and writes it after the last row.
+rows come, each row as text, not as a tuple, and writes it after the last row.
 
 The module imports neither ``inspect`` nor ``dataclasses``, which would load
 ``ast``, ``dis`` and ``tokenize`` at every start: flag names are read from a
@@ -19,7 +19,6 @@ import csv
 import io
 import itertools
 import json
-import os
 import sys
 import warnings
 from collections.abc import Iterator
@@ -48,19 +47,6 @@ def _parse_range(text: str) -> range:
         raise argparse.ArgumentTypeError(f"expected N or LO..HI, got {text!r}")
 
 
-def _prime(args: argparse.Namespace) -> int:
-    """``--prime`` if given, else ``CUSPSEMI_PRIME``, else the default modulus."""
-    if args.prime is not None:
-        return args.prime
-    env = os.environ.get("CUSPSEMI_PRIME")
-    if not env:
-        return series.DEFAULT_PRIME
-    try:
-        return int(env)
-    except ValueError:
-        raise ValueError(f"CUSPSEMI_PRIME must be an integer, got {env!r}") from None
-
-
 def _open_out(out: str | None) -> contextlib.AbstractContextManager[TextIO]:
     """``--out`` opened for writing, or stdout, which is left open."""
     if out:
@@ -72,9 +58,7 @@ def cmd_info(args: argparse.Namespace) -> int:
     # an unwritable --out fails here, before any work; a failing run writes nothing
     with _open_out(args.out) as fh:
         s = NumericalSemigroup(args.gens)
-        # a Betti element b has a factorization component without n1 but with some
-        # n_i, so b - n_i lies in the Apery set of n1
-        betti_bound = args.betti_bound if args.betti_bound is not None else max(s.apery()) + s.generators[-1]
+        betti_bound = s.betti_bound()
         payload = {
             "toolkit_version": cuspsemi.__version__,
             "generators": list(s.generators),
@@ -92,16 +76,15 @@ def cmd_info(args: argparse.Namespace) -> int:
 
 
 def cmd_generic(args: argparse.Namespace) -> int:
-    prime = _prime(args)
     # an unwritable --out fails here, before the first draw; a failing run writes nothing
     with _open_out(args.out) as fh:
         emp = series.empirical_generic_semigroup(
-            args.profile, trials=args.trials, prime=prime, base_seed=args.seed
+            args.profile, trials=args.trials, prime=args.prime, base_seed=args.seed
         )
         payload = {
             "toolkit_version": cuspsemi.__version__,
             "profile": list(args.profile),
-            "prime": prime,
+            "prime": args.prime,
             "trials": args.trials,
             "base_seed": args.seed,
             "seeds": list(range(args.seed, args.seed + args.trials)),
@@ -115,7 +98,7 @@ def cmd_generic(args: argparse.Namespace) -> int:
 
 
 def _flag_kwargs(func: object, args: argparse.Namespace, command: str) -> dict:
-    """The flags the user passed, by ``func``'s own parameter names; ``prime`` always.
+    """The flags the user passed, by ``func``'s own parameter names.
 
     A flag ``func`` has no parameter for is a usage error, except ``--seed``,
     which every verify id and sweep family accepts so that one seed can be
@@ -132,13 +115,7 @@ def _flag_kwargs(func: object, args: argparse.Namespace, command: str) -> dict:
               if value is not None and name not in skip]
     if unread:
         raise ValueError(f"{command} takes no {', '.join(unread)}")
-    kwargs = {}
-    for name in params:
-        if name == "prime":
-            kwargs[name] = _prime(args)
-        elif (value := getattr(args, name)) is not None:
-            kwargs[name] = value
-    return kwargs
+    return {name: value for name in params if (value := getattr(args, name)) is not None}
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -235,26 +212,32 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     columns, rows_fn = _SWEEPS[args.family]
     rows = rows_fn(**_flag_kwargs(rows_fn, args, f"sweep --family {args.family}"))
     # an unwritable --out fails here, before the first row.  The output is
-    # built in memory as the rows come, CSV rows as text and JSON rows as
-    # dicts, and written after the last row, so a failing row writes nothing
+    # built in memory as text as the rows come, and written after the last
+    # row, so a failing row writes nothing
     with _open_out(args.out) as fh:
+        text = io.StringIO()
         if args.format == "json":
-            payload = {
-                "toolkit_version": cuspsemi.__version__,
-                "family": args.family,
-                "seed": args.seed,
-                "rows": [dict(zip(columns, row)) for row in rows],
+            # the bytes of json.dumps(payload, indent=2), a row at a time: with
+            # no indent json's C encoder renders a flat row dict, and its item
+            # separator carries the row's line breaks and indent
+            head = {
+                "toolkit_version": cuspsemi.__version__, "family": args.family, "seed": args.seed, "rows": [],
             }
-            fh.write(json.dumps(payload, indent=2) + "\n")
+            text.write(json.dumps(head, indent=2)[: -len("[]\n}")])
+            encode = json.JSONEncoder(separators=(",\n      ", ": ")).encode
+            sep = "[\n"
+            for row in rows:
+                text.write(f"{sep}    {{\n      {encode(dict(zip(columns, row)))[1:-1]}\n    }}")
+                sep = ",\n"
+            text.write("[]\n}\n" if sep == "[\n" else "\n  ]\n}\n")
         else:
-            text = io.StringIO()
             text.write(f"# cuspsemi {cuspsemi.__version__} family={args.family} seed={args.seed}\n")
             writer = csv.writer(text, lineterminator="\n")
             writer.writerow(columns)
             for row in rows:
                 # csv writes None as an empty cell
                 writer.writerow([("true" if v else "false") if type(v) is bool else v for v in row])
-            fh.write(text.getvalue())
+        fh.write(text.getvalue())
     return 0
 
 
@@ -267,7 +250,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_info = sub.add_parser("info", help="invariants of a numerical semigroup")
     p_info.add_argument("--gens", type=_parse_ints, required=True, help="generators, comma separated")
-    p_info.add_argument("--betti-bound", type=int, default=None)
     p_info.add_argument("--out", default=None)
     p_info.set_defaults(func=cmd_info)
 
@@ -275,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--profile", type=_parse_ints, required=True, help="orders, comma separated")
     p_gen.add_argument("--trials", type=int, default=3)
     p_gen.add_argument("--seed", type=int, default=0)
-    p_gen.add_argument("--prime", type=int, default=None)
+    p_gen.add_argument("--prime", type=int, default=series.DEFAULT_PRIME)
     p_gen.add_argument("--out", default=None)
     p_gen.set_defaults(func=cmd_generic)
 

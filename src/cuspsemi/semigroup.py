@@ -224,8 +224,19 @@ class NumericalSemigroup:
         descend(0, s)
         return out
 
-    def betti_elements(self, bound: int) -> list[int]:
+    def betti_bound(self) -> int:
+        """max(Ap(S, n1)) + the largest generator, at or above every Betti element.
+
+        A Betti element b has a factorization component without n1 but with
+        some n_i, so b - n_i lies in Ap(S, n1) (Rosales and Garcia-Sanchez,
+        *Numerical Semigroups*, 2009, the chapter on presentations).
+        """
+        return max(self.apery()) + self.generators[-1]
+
+    def betti_elements(self, bound: int | None = None) -> list[int]:
         """Members s <= bound whose factorization graph is disconnected.
+
+        Without a bound, every Betti element: the bound is :meth:`betti_bound`.
 
         Vertices are the factorizations of s; edges join factorizations whose
         supports share a generator.  An empty or singleton factorization set
@@ -240,6 +251,8 @@ class NumericalSemigroup:
         over the k x k masks, and s is a Betti element when some V_i & V_j
         has no path from i to j.  Nothing is enumerated.
         """
+        if bound is None:
+            bound = self.betti_bound()
         width = max(bound + 1, 0)
         mask = (1 << width) - 1
         # membership of every s <= bound: the bitmask, then ones from the extent

@@ -111,18 +111,7 @@ class RamificationProfile(_Frozen):
             raise ValueError("orders must be strictly increasing")
         object.__setattr__(self, "orders", orders)
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.orders == other.orders
-
-    def __hash__(self) -> int:
-        return hash((self.orders,))
-
-    def __repr__(self) -> str:
-        return f"RamificationProfile(orders={self.orders!r})"
-
-    # perfbench/tracer.py reads this name; it goes with ROADMAP item 11's tracer change
+    # perfbench/tracer.py reads this name; it goes with ROADMAP item 5's tracer change
     @classmethod
     def of(cls, value: "RamificationProfile | Sequence[int]") -> "RamificationProfile":
         if isinstance(value, cls):
@@ -245,7 +234,7 @@ class TruncatedSeries(_Frozen):
     def __repr__(self) -> str:
         return "TruncatedSeries(valuation={}, packed={}, precision={}, prime={})".format(*self._key())
 
-    # perfbench/tracer.py reads this name; it goes with ROADMAP item 11's tracer change
+    # perfbench/tracer.py reads this name; it goes with ROADMAP item 5's tracer change
     @cached_property
     def coefficients(self) -> tuple[int, ...]:
         return tuple(self._layout.unpack(self.packed, self.precision - self.valuation))
@@ -389,7 +378,7 @@ def _achieved_bits(achieved: Sequence[int]) -> int:
     return bits
 
 
-# perfbench/tracer.py reads this name; it goes with ROADMAP item 11's tracer change
+# perfbench/tracer.py reads this name; it goes with ROADMAP item 5's tracer change
 def detect_conductor(achieved: Sequence[int], run_length: int) -> int | None:
     """Start of the first run of ``run_length`` consecutive values, if present."""
     return _first_run_start(_achieved_bits(achieved), run_length)

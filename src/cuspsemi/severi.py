@@ -87,13 +87,13 @@ def excess_supersym(a: int, b: int, c: int) -> CodimReport:
     return CodimReport(g, codim, codim < g, checks)
 
 
-def excess_generic_supersym(a: int, b: int, c: int, empirical_genus: int | None = None) -> CodimReport:
+def excess_generic_supersym(a: int, b: int, c: int) -> CodimReport:
     """Excess verdict for the generic cusp with profile (ab, ac, bc).
 
-    The generic stratum has codimension ab + ac + bc - 7; the genus defaults to
-    the exact lower bound abc - #{members of <ab, ac, bc> below abc} when no
-    Monte-Carlo value is supplied (a smaller genus only strengthens a negative
-    verdict, so the sufficient inequality rhobound2 is checked alongside).
+    The generic stratum has codimension ab + ac + bc - 7; the genus is the
+    exact lower bound abc - #{members of <ab, ac, bc> below abc} (a smaller
+    genus only strengthens a negative verdict, so the sufficient inequality
+    rhobound2 is checked alongside).
     That member count is :func:`~cuspsemi.supersym.members_below`, the Apery
     count checked against the lattice count, run as its kernel on the triple
     checked here.
@@ -101,7 +101,7 @@ def excess_generic_supersym(a: int, b: int, c: int, empirical_genus: int | None 
     ab, ac, bc = pairwise_products(a, b, c)
     abc = a * b * c
     below = _members_below(a, b, c, ab, ac, bc, abc)
-    g = abc - below if empirical_genus is None else empirical_genus
+    g = abc - below
     codim = generic_codim((ab, ac, bc))
     # rhobound2: members below abc < abc - (ab+ac+bc) + 7
     rhobound2 = below < abc - (ab + ac + bc) + 7

@@ -72,15 +72,6 @@ def test_generic_deterministic(capsys):
     assert payload["seeds"] == [3, 4, 5]
 
 
-def test_generic_env_prime(capsys, monkeypatch):
-    monkeypatch.setenv("CUSPSEMI_PRIME", "2147483647")
-    code, out, _ = run_cli(capsys, "generic", "--profile", "4,6")
-    assert code == 0
-    payload = json.loads(out)
-    assert payload["prime"] == 2147483647
-    assert payload["conductor"] == 16
-
-
 def test_generic_rejects_small_prime(capsys):
     code, _, err = run_cli(capsys, "generic", "--profile", "4,6", "--prime", "97")
     assert code == 2
@@ -88,10 +79,9 @@ def test_generic_rejects_small_prime(capsys):
 
 
 @pytest.mark.parametrize("modulus", [4294967297, 2147483648, (1 << 89) - 1])
-def test_generic_rejects_modulus_that_is_not_a_checked_prime(capsys, monkeypatch, modulus):
+def test_generic_rejects_modulus_that_is_not_a_checked_prime(capsys, modulus):
     # 641 * 6700417, 2**31, and a prime too large for the exact primality check
-    monkeypatch.setenv("CUSPSEMI_PRIME", str(modulus))
-    code, out, err = run_cli(capsys, "generic", "--profile", "4,6")
+    code, out, err = run_cli(capsys, "generic", "--profile", "4,6", "--prime", str(modulus))
     assert code == 2
     assert out == ""
     assert "prime" in err
@@ -101,7 +91,9 @@ def test_generic_rejects_modulus_that_is_not_a_checked_prime(capsys, monkeypatch
 def test_generic_accepts_mersenne_primes(capsys, prime):
     code, out, _ = run_cli(capsys, "generic", "--profile", "4,6", "--prime", str(prime))
     assert code == 0
-    assert json.loads(out)["prime"] == prime
+    payload = json.loads(out)
+    assert payload["prime"] == prime
+    assert payload["conductor"] == 16
 
 
 def test_generic_rejects_prime_zero(capsys):
@@ -111,37 +103,33 @@ def test_generic_rejects_prime_zero(capsys):
     assert "prime" in err
 
 
-def test_verify_reads_env_prime(capsys, monkeypatch):
-    monkeypatch.setenv("CUSPSEMI_PRIME", "4294967297")
-    code, out, err = run_cli(capsys, "verify", "supersym-generic-contains")
+def test_verify_reads_prime(capsys):
+    code, out, err = run_cli(capsys, "verify", "supersym-generic-contains", "--prime", "4294967297")
+    assert code == 2
+    assert "prime" in err
+
+
+def test_generic_sweep_reads_prime(capsys):
+    code, out, err = run_cli(capsys, "sweep", "--family", "generic", "--l", "4..4", "--prime", "2147483647")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[2:] == ["4,8,10,12,28,16,8,16,true"]
+    code, _, err = run_cli(capsys, "sweep", "--family", "generic", "--l", "4..4", "--prime", "4294967297")
     assert code == 2
     assert "prime" in err
 
 
 @pytest.mark.parametrize(
-    "argv", [("verify", "m2-gaps"), ("sweep", "--family", "supersym", "--max-abc", "60")]
+    "argv, text",
+    [(("generic", "--profile", "4,6", "--prime"), "abc"), (("info", "--gens", "6,10,15", "--betti-bound"), "7")],
+    ids=["prime-abc", "betti-bound"],
 )
-def test_env_prime_is_read_only_where_a_prime_is_used(capsys, monkeypatch, argv):
-    monkeypatch.setenv("CUSPSEMI_PRIME", "abc")
-    code, out, err = run_cli(capsys, *argv)
-    assert code == 0
-    assert out and err == ""
-
-
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ("generic", "--profile", "4,6"),
-        ("verify", "supersym-generic-contains"),
-        ("sweep", "--family", "generic", "--l", "4..4"),
-    ],
-)
-def test_malformed_env_prime_names_the_variable(capsys, monkeypatch, argv):
-    monkeypatch.setenv("CUSPSEMI_PRIME", "abc")
-    code, out, err = run_cli(capsys, *argv)
-    assert code == 2
-    assert out == ""
-    assert err == "error: CUSPSEMI_PRIME must be an integer, got 'abc'\n"
+def test_malformed_or_removed_flag_is_a_usage_error(capsys, argv, text):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*argv, text])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert argv[-1] in captured.err
 
 
 def test_info_unwritable_out_is_a_usage_error(capsys, tmp_path):
@@ -453,8 +441,9 @@ def test_verify_flags_reach_every_checker_parameter():
         (("arith", "--l", "4..6", "--max-abc", "7", "--min-a", "5", "--trials", "9"),
          "--max-abc, --min-a, --trials"),
         (("generic", "--max-abc", "9", "--l", "4..4"), "--max-abc"),
+        (("supersym", "--max-abc", "60", "--prime", "2147483647"), "--prime"),
     ],
-    ids=["supersym-m-l-trials", "arith-max-abc-min-a-trials", "generic-max-abc"],
+    ids=["supersym-m-l-trials", "arith-max-abc-min-a-trials", "generic-max-abc", "supersym-prime"],
 )
 def test_sweep_rejects_a_flag_its_family_does_not_read(capsys, tmp_path, argv, unread):
     target = tmp_path / "rows.csv"
@@ -494,8 +483,9 @@ def test_small_ell_warnings_are_one_line_each(capsys):
         (("m2-gaps", "--m", "3..4"), "--m"),
         (("rho-simplex", "--trials", "9"), "--trials"),
         (("rho-simplex", "--max-abc", "300", "--trials", "9", "--l", "4..5"), "--l, --trials"),
+        (("m2-gaps", "--prime", "2147483647"), "--prime"),
     ],
-    ids=["m2-gaps-m", "rho-simplex-trials", "rho-simplex-l-trials"],
+    ids=["m2-gaps-m", "rho-simplex-trials", "rho-simplex-l-trials", "m2-gaps-prime"],
 )
 def test_verify_rejects_a_flag_its_checker_does_not_read(capsys, argv, unread):
     code, out, err = run_cli(capsys, "verify", *argv)
@@ -615,6 +605,32 @@ def test_sweep_bytes_are_pinned(capsys, argv, digest):
     code, out, err = run_cli(capsys, "sweep", *argv)
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--family", "supersym", "--max-abc", "2000", "--seed", "7"),
+        ("--family", "supersym", "--max-abc", "10"),
+        ("--family", "arith"),
+        ("--family", "generic", "--l", "4..5"),
+    ],
+    ids=["supersym", "supersym-no-rows", "arith", "generic"],
+)
+def test_json_sweep_is_json_dumps_of_its_payload(capsys, argv):
+    # the rows are written as text one at a time; the bytes are those of one
+    # json.dumps(indent=2) over the whole payload
+    args = cli.build_parser().parse_args(["sweep", *argv])
+    columns, rows_fn = cli._SWEEPS[args.family]
+    payload = {
+        "toolkit_version": cuspsemi.__version__, "family": args.family, "seed": args.seed,
+        "rows": [dict(zip(columns, row)) for row in rows_fn(**cli._flag_kwargs(rows_fn, args, "sweep"))],
+    }
+    code, out, err = run_cli(capsys, "sweep", *argv, "--format", "json")
+    assert (code, err) == (0, "")
+    # lists of lines: a failing string comparison would be diffed line by line, slowly
+    assert out.split("\n") == (json.dumps(payload, indent=2) + "\n").split("\n")
+
 
 def test_sweep_deterministic(capsys):
     args = ("sweep", "--family", "supersym", "--max-abc", "400")

@@ -239,6 +239,9 @@ def test_apery_and_betti_match_the_enumeration_on_random_semigroups():
         betti = enumeration_betti(s, b + 17)
         for bound in (0, 1, b // 2, b, b + 17):
             assert s.betti_elements(bound) == [x for x in betti if x <= bound], (gens, bound)
+        # the default bound misses no Betti element up to b + 17
+        assert s.betti_bound() == b, gens
+        assert s.betti_elements() == betti, gens
 
 
 def test_betti_elements_beyond_the_enumeration():

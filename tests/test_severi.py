@@ -86,11 +86,6 @@ def test_excess_generic_supersym():
     assert severi.excess_generic_supersym(2, 9, 31).checks == {"rhobound2": True}
 
 
-def test_excess_generic_accepts_measured_genus():
-    rep = severi.excess_generic_supersym(2, 3, 5, empirical_genus=11)
-    assert rep.genus == 11
-
-
 def test_small_triples_not_excess():
     rep = severi.excess_supersym(2, 3, 5)
     assert not rep.excess
