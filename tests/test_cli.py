@@ -72,6 +72,20 @@ def test_generic_deterministic(capsys):
     assert payload["seeds"] == [3, 4, 5]
 
 
+def test_generic_env_prime(capsys, monkeypatch):
+    # CUSPSEMI_PRIME is not read: the prime comes from --prime or the default.
+    monkeypatch.setenv("CUSPSEMI_PRIME", "2147483647")
+    code, out, _ = run_cli(capsys, "generic", "--profile", "4,6")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["prime"] == cuspsemi.series.DEFAULT_PRIME
+    assert payload["conductor"] == 16
+    monkeypatch.setenv("CUSPSEMI_PRIME", "abc")
+    code, out, _ = run_cli(capsys, "generic", "--profile", "4,6", "--prime", "2147483647")
+    assert code == 0
+    assert json.loads(out)["prime"] == 2147483647
+
+
 def test_generic_rejects_small_prime(capsys):
     code, _, err = run_cli(capsys, "generic", "--profile", "4,6", "--prime", "97")
     assert code == 2
