@@ -3,8 +3,8 @@
 Exit codes: 0 success, 1 verification failure, 2 usage error (an unwritable
 ``--out`` too), 3 numeric error, 4 seed disagreement.  All output is
 deterministic for fixed arguments; sweep files carry a provenance comment line
-with the toolkit version and seed.  A sweep keeps its output in memory as the
-rows come, each row as text, not as a tuple, and writes it after the last row.
+with the toolkit version and seed.  A sweep keeps its output in memory as a
+list of lines, one rendered row each, and writes the list after the last row.
 
 The module imports neither ``inspect`` nor ``dataclasses``, which would load
 ``ast``, ``dis`` and ``tokenize`` at every start: flag names are read from a
@@ -15,8 +15,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
-import io
 import itertools
 import json
 import sys
@@ -211,11 +209,10 @@ _SWEEPS = {
 def cmd_sweep(args: argparse.Namespace) -> int:
     columns, rows_fn = _SWEEPS[args.family]
     rows = rows_fn(**_flag_kwargs(rows_fn, args, f"sweep --family {args.family}"))
-    # an unwritable --out fails here, before the first row.  The output is
-    # built in memory as text as the rows come, and written after the last
-    # row, so a failing row writes nothing
+    # an unwritable --out fails here, before the first row.  The rendered
+    # rows are kept as a list of lines and written after the last row, so a
+    # failing row writes nothing
     with _open_out(args.out) as fh:
-        text = io.StringIO()
         if args.format == "json":
             # the bytes of json.dumps(payload, indent=2), a row at a time: with
             # no indent json's C encoder renders a flat row dict, and its item
@@ -223,21 +220,21 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             head = {
                 "toolkit_version": cuspsemi.__version__, "family": args.family, "seed": args.seed, "rows": [],
             }
-            text.write(json.dumps(head, indent=2)[: -len("[]\n}")])
+            lines = [json.dumps(head, indent=2)[: -len("[]\n}")]]
             encode = json.JSONEncoder(separators=(",\n      ", ": ")).encode
             sep = "[\n"
             for row in rows:
-                text.write(f"{sep}    {{\n      {encode(dict(zip(columns, row)))[1:-1]}\n    }}")
+                lines.append(f"{sep}    {{\n      {encode(dict(zip(columns, row)))[1:-1]}\n    }}")
                 sep = ",\n"
-            text.write("[]\n}\n" if sep == "[\n" else "\n  ]\n}\n")
+            lines.append("[]\n}\n" if sep == "[\n" else "\n  ]\n}\n")
         else:
-            text.write(f"# cuspsemi {cuspsemi.__version__} family={args.family} seed={args.seed}\n")
-            writer = csv.writer(text, lineterminator="\n")
-            writer.writerow(columns)
-            for row in rows:
-                # csv writes None as an empty cell
-                writer.writerow([("true" if v else "false") if type(v) is bool else v for v in row])
-        fh.write(text.getvalue())
+            # no cell holds a comma, quote or line break, so none is quoted
+            lines = [f"# cuspsemi {cuspsemi.__version__} family={args.family} seed={args.seed}\n"]
+            for row in itertools.chain([columns], rows):
+                cells = ("" if v is None else ("true" if v else "false") if type(v) is bool else str(v)
+                         for v in row)
+                lines.append(",".join(cells) + "\n")
+        fh.writelines(lines)
     return 0
 
 

@@ -2,15 +2,16 @@
 
 A numerical semigroup is an additively closed subset of the nonnegative integers
 that contains 0 and has a finite complement (the gaps).  Everything here is exact
-integer arithmetic; membership below the table extent is stored as a bitmask and
+integer arithmetic; the members below the conductor are stored as a bitmask, and
 every integer at or above the conductor is a member by construction.
 
 The kernels take logarithmically many big-integer steps.  The sieve ORs in
 each generator shifted by g, 2g, 4g, ... (each shift doubles the multiples of
 g already present), and the conductor search finds a run of r set bits by
 ANDing with shifts by 1, 2, 4, ... and one last shift.  Each semigroup is
-sieved in one pass, up to a bound on its Frobenius number plus the largest
-generator.  The bound is the smaller of Brauer's (Amer. J. Math. 64, 1942),
+sieved in one pass, to a bound on its Frobenius number plus 1 plus the
+multiplicity: far enough for the run of multiplicity-many members that starts
+at the conductor.  The bound is the smaller of Brauer's (Amer. J. Math. 64, 1942),
 exact on <ab, ac, bc>, and Erdos and Graham's (Acta Arith. 21, 1972), the
 smaller one for many generators.  The conductor is the sieve's first run
 of m members, never the bound, so a bound that fell short would raise instead
@@ -87,11 +88,12 @@ class NumericalSemigroup:
     The conductor is detected as the first index starting a run of
     ``min(generators)`` consecutive members: once that many consecutive elements
     are present, adding the multiplicity repeatedly fills in everything beyond.
-    One sieve pass, sized by a Frobenius bound, covers that run and the table.
+    One sieve pass, to a Frobenius bound + 1 + the multiplicity, covers that
+    run; the table keeps the members below the conductor.
     Instances are immutable and safe to share across threads.
     """
 
-    __slots__ = ("generators", "conductor", "_bits", "_extent")
+    __slots__ = ("generators", "conductor", "_bits")
 
     def __init__(self, generators: Iterable[int]) -> None:
         gens = tuple(sorted({int(g) for g in generators}))
@@ -116,18 +118,15 @@ class NumericalSemigroup:
         if k >= 2:
             # Erdos and Graham (Acta Arith. 21, 1972): F <= 2 * g_{k-1} * floor(g_k / k) - g_k
             bound = min(bound, 2 * gens[-2] * (top // k) - top)
-        # One sieve pass: the run of mult members at the conductor and the table
-        # up to the extent conductor + top both lie below bound + 1 + top.
-        bits = _reach(gens, bound + 1 + top)
+        # One sieve pass: the run of mult members at the conductor lies below bound + 1 + mult
+        bits = _reach(gens, bound + 1 + mult)
         start = _first_run_start(bits, mult)
         if start is None or start > bound + 1:
             raise RuntimeError(f"conductor of {gens} exceeds the Frobenius bound {bound} + 1")
-        extent = start + top
 
         self.generators = gens
         self.conductor = start
-        self._extent = extent
-        self._bits = bits & ((1 << extent) - 1)
+        self._bits = bits & ((1 << start) - 1)
 
     @property
     def multiplicity(self) -> int:
@@ -141,12 +140,12 @@ class NumericalSemigroup:
     @property
     def genus(self) -> int:
         """Number of gaps."""
-        return self.conductor - (self._bits & ((1 << self.conductor) - 1)).bit_count()
+        return self.conductor - self._bits.bit_count()
 
     def contains(self, x: int) -> bool:
         if x < 0:
             return False
-        if x >= self._extent:
+        if x >= self.conductor:
             return True
         return bool(self._bits >> x & 1)
 
@@ -162,20 +161,20 @@ class NumericalSemigroup:
         """Number of members in [0, t)."""
         if t <= 0:
             return 0
-        if t <= self._extent:
+        if t <= self.conductor:
             return (self._bits & ((1 << t) - 1)).bit_count()
-        return self._bits.bit_count() + (t - self._extent)
+        return self._bits.bit_count() + (t - self.conductor)
 
     def is_symmetric(self) -> bool:
         """True when exactly one of x, F - x is a member for every 0 <= x <= F."""
         if self.conductor == 0:
             raise ValueError("symmetry is undefined for the full semigroup N")
         width = self.conductor  # F + 1
-        low = self._bits & ((1 << width) - 1)
+        bits = self._bits
         n = (width + 7) // 8
-        # bit i of low moves to bit width - 1 - i: bytes in reverse order, each byte's bits reversed
-        rev = int.from_bytes(low.to_bytes(n, "little").translate(_REV), "big") >> (8 * n - width)
-        return low ^ rev == (1 << width) - 1
+        # bit i moves to bit width - 1 - i: bytes in reverse order, each byte's bits reversed
+        rev = int.from_bytes(bits.to_bytes(n, "little").translate(_REV), "big") >> (8 * n - width)
+        return bits ^ rev == (1 << width) - 1
 
     def apery(self) -> tuple[int, ...]:
         """Apery set with respect to the multiplicity m, as a tuple.
@@ -184,12 +183,12 @@ class NumericalSemigroup:
         A member w is the least of its class exactly when w - m is not a
         member (Rosales and Garcia-Sanchez, *Numerical Semigroups*, 2009, the
         chapter on notable elements), so Ap(S, m) is the set bits of
-        ``bits & ~(bits << m)``.  Every entry is at most F + m < extent + m, so
-        the bitmask is widened with ones to extent + m bits.
+        ``bits & ~(bits << m)``.  Every entry is at most F + m = conductor - 1 + m,
+        so the bitmask is widened with ones to conductor + m bits.
         """
         m = self.multiplicity
-        extent = self._extent
-        bits = self._bits | ((1 << (extent + m)) - (1 << extent))
+        c = self.conductor
+        bits = self._bits | ((1 << (c + m)) - (1 << c))
         entries = [0] * m
         for w in _set_bits(bits & ~(bits << m)):
             entries[w % m] = w
@@ -255,8 +254,8 @@ class NumericalSemigroup:
             bound = self.betti_bound()
         width = max(bound + 1, 0)
         mask = (1 << width) - 1
-        # membership of every s <= bound: the bitmask, then ones from the extent
-        members = self._bits | (mask >> self._extent << self._extent)
+        # membership of every s <= bound: the bitmask, then ones from the conductor
+        members = self._bits | (mask >> self.conductor << self.conductor)
         gens = self.generators
         k = len(gens)
         reach = [[(members << (gi + gj)) & mask for gj in gens] for gi in gens]
@@ -277,13 +276,10 @@ class NumericalSemigroup:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, NumericalSemigroup):
             return NotImplemented
-        return self.conductor == other.conductor and (
-            self._bits & ((1 << self.conductor) - 1)
-            == other._bits & ((1 << other.conductor) - 1)
-        )
+        return self.conductor == other.conductor and self._bits == other._bits
 
     def __hash__(self) -> int:
-        return hash((self.conductor, self._bits & ((1 << self.conductor) - 1)))
+        return hash((self.conductor, self._bits))
 
     def __repr__(self) -> str:
         return f"NumericalSemigroup({list(self.generators)})"

@@ -1,6 +1,8 @@
+import csv
 import functools
 import hashlib
 import inspect
+import io
 import json
 import subprocess
 import sys
@@ -644,6 +646,34 @@ def test_json_sweep_is_json_dumps_of_its_payload(capsys, argv):
     assert (code, err) == (0, "")
     # lists of lines: a failing string comparison would be diffed line by line, slowly
     assert out.split("\n") == (json.dumps(payload, indent=2) + "\n").split("\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--family", "supersym", "--max-abc", "2000"),
+        ("--family", "arith"),
+        ("--family", "generic", "--l", "4..5"),
+    ],
+    ids=["supersym", "arith", "generic"],
+)
+def test_csv_sweep_rows_are_what_csv_writer_writes(capsys, argv):
+    # the rows are joined with commas; csv.writer, with bools as true/false,
+    # writes the same line for each
+    args = cli.build_parser().parse_args(["sweep", *argv])
+    columns, rows_fn = cli._SWEEPS[args.family]
+    rows = list(rows_fn(**cli._flag_kwargs(rows_fn, args, "sweep")))
+    code, out, err = run_cli(capsys, "sweep", *argv)
+    assert (code, err) == (0, "")
+    lines = out.split("\n")
+    assert lines[0].startswith("# cuspsemi ") and lines[-1] == ""
+    assert len(lines) == len(rows) + 3
+    for line, row in zip(lines[1:-1], [columns, *rows]):
+        text = io.StringIO()
+        csv.writer(text, lineterminator="\n").writerow(
+            [("true" if v else "false") if type(v) is bool else v for v in row]
+        )
+        assert line + "\n" == text.getvalue()
 
 
 def test_sweep_deterministic(capsys):

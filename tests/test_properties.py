@@ -1,6 +1,7 @@
-"""Property tests: the sieve, the Apery set and the normal form agree on <ab, ac, bc>,
-the floor-sum lattice count agrees with the direct scan, and the slot-wise
-reduction of packed series agrees with ``%``."""
+"""Property tests: every query of a numerical semigroup agrees with a brute-force
+membership list, the sieve, the Apery set and the normal form agree on
+<ab, ac, bc>, the floor-sum lattice count agrees with the direct scan, and the
+slot-wise reduction of packed series agrees with ``%``."""
 
 from fractions import Fraction
 from math import gcd
@@ -13,6 +14,8 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from cuspsemi import series, supersym  # noqa: E402
+from cuspsemi.semigroup import NumericalSemigroup  # noqa: E402
+from test_semigroup import enumeration_betti  # noqa: E402
 from test_series import PRIMES, reduction_edges  # noqa: E402
 from test_supersym import scan_lattice_count, simplex_weights  # noqa: E402
 
@@ -21,6 +24,54 @@ triples = (
     .map(sorted)
     .filter(lambda t: gcd(t[0], t[1]) == gcd(t[0], t[2]) == gcd(t[1], t[2]) == 1)
 )
+
+generator_sets = st.lists(st.integers(1, 40), min_size=2, max_size=5, unique=True).filter(
+    lambda g: gcd(*g) == 1
+)
+
+
+def brute_members(gens, limit):
+    """Membership of each x < limit, one addition at a time (reference)."""
+    member = [True] + [False] * (limit - 1)
+    for x in range(1, limit):
+        member[x] = any(g <= x and member[x - g] for g in gens)
+    return member
+
+
+@settings(max_examples=150, deadline=None)
+@given(generator_sets)
+def test_queries_match_brute_force_membership(gens):
+    s = NumericalSemigroup(gens)
+    m, top = min(gens), max(gens)
+    # F < m * top (Schur), so the list runs past the conductor + top + m
+    member = brute_members(gens, m * top + top + m)
+    conductor = max((x + 1 for x, ok in enumerate(member) if not ok), default=0)
+    assert s.conductor == conductor
+    width = conductor + top + m
+    member = member[:width]
+    assert s._bits < 2**conductor
+    assert [s.contains(x) for x in range(-2, width)] == [False, False, *member]
+    assert [x in s for x in range(width)] == member
+    assert [s.member_count_below(t) for t in range(-1, width + 1)] == [0, 0] + [
+        sum(member[:t]) for t in range(1, width + 1)
+    ]
+    gaps = [x for x in range(width) if not member[x]]
+    assert s.gaps() == gaps and s.genus == len(gaps)
+    apery = tuple(next(x for x in range(i, width, m) if member[x]) for i in range(m))
+    assert s.apery() == apery
+    assert s.betti_elements() == enumeration_betti(s, max(apery) + top)
+    if conductor == 0:
+        with pytest.raises(ValueError):
+            s.is_symmetric()
+    else:
+        f = conductor - 1
+        assert s.is_symmetric() == all(member[x] != member[f - x] for x in range(conductor))
+    # the same semigroup from more generators, and one with its Frobenius number added
+    same = NumericalSemigroup([*gens, conductor + 1, conductor + top, m + top])
+    assert same == s and hash(same) == hash(s)
+    if conductor > 1:
+        filled = NumericalSemigroup([*gens, conductor - 1])
+        assert filled != s and filled.conductor < conductor
 
 
 @settings(max_examples=60, deadline=None)

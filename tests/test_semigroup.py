@@ -455,6 +455,7 @@ def test_each_build_sieves_once(monkeypatch, build):
     init = NumericalSemigroup.__init__
 
     def counted_init(self, generators):
+        generators = tuple(generators)
         builds.append(generators)
         init(self, generators)
 
@@ -462,21 +463,30 @@ def test_each_build_sieves_once(monkeypatch, build):
     limits = record_sieve_limits(monkeypatch)
     build()
     assert builds and len(limits) == len(builds)
+    # each pass runs to the Frobenius bound + 1 + the multiplicity
+    for gens, limit in zip(builds, limits):
+        assert limit == min(brauer_bound(gens), erdos_graham_bound(gens)) + 1 + min(gens), gens
 
 
-def test_many_generators_are_sieved_below_twice_the_extent(monkeypatch):
+def test_many_generators_are_sieved_below_twice_the_conductor_plus_multiplicity(monkeypatch):
     limits = record_sieve_limits(monkeypatch)
-    s = NumericalSemigroup(range(300, 600))
+    gens = range(300, 600)
+    s = NumericalSemigroup(gens)
     assert s.conductor == 300
-    assert len(limits) == 1 and limits[0] < 2 * (s.conductor + 599)
+    assert limits == [erdos_graham_bound(gens) + 1 + 300]
+    assert limits[0] < 2 * (s.conductor + s.multiplicity)
 
 
-def test_supersymmetric_semigroups_are_sieved_to_their_extent(monkeypatch):
+def test_supersymmetric_semigroups_are_sieved_to_the_conductor_plus_ab(monkeypatch):
     limits = record_sieve_limits(monkeypatch)
     for a, b, c in [(2, 3, 5), (3, 4, 5), (4, 5, 9), (5, 7, 11)]:
         s = supersym.supersym_semigroup(a, b, c)
-        assert limits[-1] == s.conductor + b * c
-    assert len(limits) == 4
+        assert limits[-1] == s.conductor + a * b
+    # the extension by abc + 1 keeps Brauer's bound of <ab, ac, bc>
+    for a, b, c in [(2, 3, 7), (2, 5, 7), (3, 4, 5), (5, 7, 11)]:
+        supersym.s_prime(a, b, c)
+        assert limits[-1] == supersym.frobenius_formula(a, b, c) + 1 + a * b
+    assert len(limits) == 8
 
 
 def test_a_sieve_that_misses_a_member_raises(monkeypatch):

@@ -1,6 +1,5 @@
 import ast
 import importlib.util
-import os
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -128,10 +127,6 @@ def test_sweep_row_builds_no_semigroup_and_counts_rho_once(monkeypatch):
     assert counted == triples
 
 
-@pytest.mark.skipif(
-    not os.environ.get("CUSPSEMI_SLOW"),
-    reason="2,000 sieve builds with abc near 10^5; set CUSPSEMI_SLOW=1",
-)
 def test_apery_count_matches_sieve_near_abc_1e5():
     triples = [t for t in supersym.coprime_triples(100_000) if t[0] * t[1] * t[2] > 50_000]
     for a, b, c in random.Random(0).sample(triples, 2000):
