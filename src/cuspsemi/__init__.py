@@ -17,7 +17,7 @@ from cuspsemi.series import (
     SeedDisagreementError,
     empirical_generic_semigroup,
 )
-from cuspsemi.supersym import MethodMismatchError, NotApplicableError, rho
+from cuspsemi.supersym import MethodMismatchError, rho
 
 __version__ = "0.1.0"
 
@@ -25,7 +25,6 @@ __all__ = [
     "AchievedSetError",
     "GcdNotOneError",
     "MethodMismatchError",
-    "NotApplicableError",
     "NumericalSemigroup",
     "PrecisionTooSmallError",
     "SeedDisagreementError",

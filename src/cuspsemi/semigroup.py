@@ -121,7 +121,7 @@ class NumericalSemigroup:
         # One sieve pass: the run of mult members at the conductor lies below bound + 1 + mult
         bits = _reach(gens, bound + 1 + mult)
         start = _first_run_start(bits, mult)
-        if start is None or start > bound + 1:
+        if start is None:
             raise RuntimeError(f"conductor of {gens} exceeds the Frobenius bound {bound} + 1")
 
         self.generators = gens

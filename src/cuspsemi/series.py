@@ -84,20 +84,11 @@ class AchievedSetError(RuntimeError, ArithmeticError):
     """
 
 
-class _Frozen:
-    """Refuses attribute assignment and deletion; ``__init__`` sets fields by object.__setattr__."""
+class RamificationProfile:
+    """Strictly increasing vanishing orders (r1, ..., rn), with r1 >= 2 and n >= 2.
 
-    __slots__ = ()
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
-
-class RamificationProfile(_Frozen):
-    """Strictly increasing vanishing orders (r1, ..., rn), with r1 >= 2 and n >= 2."""
+    Immutable by convention, as :class:`~cuspsemi.semigroup.NumericalSemigroup` is.
+    """
 
     __slots__ = ("orders",)
 
@@ -109,7 +100,7 @@ class RamificationProfile(_Frozen):
             raise ValueError("the smallest order must be at least 2")
         if any(b <= a for a, b in zip(orders, orders[1:])):
             raise ValueError("orders must be strictly increasing")
-        object.__setattr__(self, "orders", orders)
+        self.orders = orders
 
     # perfbench/tracer.py reads this name; it goes with ROADMAP item 5's tracer change
     @classmethod
@@ -193,14 +184,15 @@ def _layout_of(prime: int, precision: int) -> _Layout:
     return _Layout(prime, precision)
 
 
-class TruncatedSeries(_Frozen):
+class TruncatedSeries:
     """Power series over F_p known on degrees [valuation, precision).
 
     The series is one packed int (``packed``) in the layout of its horizon,
     slot k holding the coefficient of t**(valuation + k); the leading slot is
     nonzero mod p and every slot is reduced.  ``coefficients`` unpacks the
     slots when it is first read.  Two series are equal when their valuation,
-    packed int, precision and prime are.
+    packed int, precision and prime are.  Immutable by convention, as
+    :class:`~cuspsemi.semigroup.NumericalSemigroup` is.
     """
 
     def __init__(self, valuation: int, packed: int, layout: _Layout) -> None:
@@ -213,12 +205,11 @@ class TruncatedSeries(_Frozen):
             raise ValueError("leading coefficient must be nonzero")
         if not layout.is_reduced(packed):
             raise ValueError("coefficients must be reduced mod the prime")
-        setfield = object.__setattr__
-        setfield(self, "valuation", valuation)
-        setfield(self, "packed", packed)
-        setfield(self, "precision", precision)
-        setfield(self, "prime", layout.prime)
-        setfield(self, "_layout", layout)
+        self.valuation = valuation
+        self.packed = packed
+        self.precision = precision
+        self.prime = layout.prime
+        self._layout = layout
 
     def _key(self) -> tuple[int, int, int, int]:
         return self.valuation, self.packed, self.precision, self.prime

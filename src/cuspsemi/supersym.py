@@ -29,7 +29,10 @@ Any other caller goes through the public functions.
 Everything is exact and nothing is random (Monte Carlo lives in
 :mod:`cuspsemi.series`); Fractions are only the values of the Yau-Zhang
 bounds.  A guarded result that fails its own check raises
-:class:`MethodMismatchError`, which ``python -O`` keeps.
+:class:`MethodMismatchError`, which ``python -O`` keeps.  The extension
+<ab, ac, bc, abc + 1> exists only where abc + 1 is a gap; elsewhere
+:func:`s_prime` and :func:`s_prime_invariants` return None, and nothing
+raises.
 """
 
 from __future__ import annotations
@@ -45,10 +48,6 @@ class MethodMismatchError(RuntimeError):
     """Two supposedly equivalent computations disagreed, or a guarded result
     failed its own check; an implementation bug.
     """
-
-
-class NotApplicableError(ValueError):
-    """The requested construction needs abc + 1 to be a gap, and it is not."""
 
 
 def pairwise_products(a: int, b: int, c: int) -> tuple[int, int, int]:
@@ -321,34 +320,26 @@ def _min_congruent_one(a: int, b: int, c: int, ab: int, ac: int, bc: int,
     return value
 
 
-def abc_plus_one_is_member(a: int, b: int, c: int) -> bool:
-    """True when abc + 1 already lies in <ab, ac, bc>."""
-    return min_congruent_one(a, b, c) == a * b * c + 1
+def s_prime(a: int, b: int, c: int) -> NumericalSemigroup | None:
+    """The extension <ab, ac, bc, abc + 1>, or None where abc + 1 is already a member."""
+    abc = a * b * c
+    if min_congruent_one(a, b, c) == abc + 1:
+        return None
+    return NumericalSemigroup(pairwise_products(a, b, c) + (abc + 1,))
 
 
-def s_prime(a: int, b: int, c: int) -> NumericalSemigroup:
-    """The extension <ab, ac, bc, abc + 1>; only defined when abc + 1 is a gap."""
-    if abc_plus_one_is_member(a, b, c):
-        raise NotApplicableError(f"abc + 1 is already a member for ({a},{b},{c})")
-    return NumericalSemigroup(pairwise_products(a, b, c) + (a * b * c + 1,))
-
-
-def s_prime_invariants(a: int, b: int, c: int) -> tuple[int, int]:
-    """Closed-form (genus, Frobenius number) of the extension by abc + 1."""
+def s_prime_invariants(a: int, b: int, c: int) -> tuple[int, int] | None:
+    """Closed-form (genus, Frobenius number) of the extension by abc + 1; None where it has none."""
     ab, ac, bc = pairwise_products(a, b, c)
-    r = _s_prime_invariants(a, b, c, ab, ac, bc, _genus(a, b, c, _frobenius(a, b, c, ab, ac, bc)))
-    if r is None:
-        raise NotApplicableError(f"abc + 1 is already a member for ({a},{b},{c})")
-    return r
+    return _s_prime_invariants(a, b, c, ab, ac, bc, _genus(a, b, c, _frobenius(a, b, c, ab, ac, bc)))
 
 
 def _s_prime_invariants(a: int, b: int, c: int, ab: int, ac: int, bc: int,
                         genus: int) -> tuple[int, int] | None:
     """:func:`s_prime_invariants` of a checked triple, its products and its genus.
 
-    Returns None where abc + 1 is a member, in place of raising
-    :class:`NotApplicableError`; the residue triple is taken once, for both
-    the membership question and the closed forms.
+    Returns None where abc + 1 is a member; the residue triple is taken once,
+    for both the membership question and the closed forms.
     """
     residues = _residue_triple(a, b, c, ab, ac, bc)
     if _min_congruent_one(a, b, c, ab, ac, bc, residues) == a * b * c + 1:

@@ -223,9 +223,8 @@ def check_sprime(max_abc: int = 5000) -> CheckResult:
     """Genus and Frobenius closed forms for the extension by abc + 1 match the sieve."""
     # only the triples where abc + 1 is a gap have an extension
     def probe(t: tuple[int, int, int]) -> tuple[bool | None, bool | None]:
-        try:
-            s = supersym.s_prime(*t)
-        except supersym.NotApplicableError:
+        s = supersym.s_prime(*t)
+        if s is None:
             return None, None
         genus, frobenius = supersym.s_prime_invariants(*t)
         return genus == s.genus, frobenius == s.frobenius

@@ -748,6 +748,34 @@ def test_sweep_file_output(tmp_path, capsys):
     assert b"\r" not in text  # plain LF line endings
 
 
+# the exit code README gives for each exception class the package exports
+README_EXIT_CODES = {
+    "GcdNotOneError": 2,
+    "MethodMismatchError": 1,
+    "PrecisionTooSmallError": 3,
+    "AchievedSetError": 3,
+    "SeedDisagreementError": 4,
+}
+EXPORTED_EXCEPTIONS = [
+    name for name in cuspsemi.__all__
+    if isinstance(getattr(cuspsemi, name), type) and issubclass(getattr(cuspsemi, name), BaseException)
+]
+
+
+def test_exported_exception_classes_are_the_ones_readme_maps():
+    assert sorted(EXPORTED_EXCEPTIONS) == sorted(README_EXIT_CODES)
+
+
+@pytest.mark.parametrize("name", EXPORTED_EXCEPTIONS)
+def test_exported_exception_reaches_its_exit_code(capsys, monkeypatch, name):
+    def failing(args):
+        raise getattr(cuspsemi, name)(f"{name} raised")
+
+    monkeypatch.setattr(cli, "cmd_info", failing)
+    code, out, err = run_cli(capsys, "info", "--gens", "3,5")
+    assert (code, out, err) == (README_EXIT_CODES[name], "", f"error: {name} raised\n")
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "cuspsemi", "info", "--gens", "12,15,20"],

@@ -690,14 +690,6 @@ def test_products_and_constructed_series_agree_on_eq_and_hash(prime):
             assert product == build(product.valuation, product.coefficients, precision, prime)
 
 
-def test_series_are_immutable():
-    f = series._draw_series(random.Random(0), 2, 10, DEFAULT_PRIME)
-    with pytest.raises(AttributeError):
-        f.valuation = 3
-    with pytest.raises(AttributeError):
-        f.packed = 0
-
-
 def probe_by_lists(series_list, coefficients):
     """Reference valuation probe on coefficient lists; mirrors ``combination_valuation_probe``."""
     precision, prime = series_list[0].precision, series_list[0].prime

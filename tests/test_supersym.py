@@ -8,11 +8,7 @@ import pytest
 
 from cuspsemi import cli, series, severi, supersym, verify
 from cuspsemi.semigroup import NumericalSemigroup
-from cuspsemi.supersym import (
-    MethodMismatchError,
-    NotApplicableError,
-    pairwise_products,
-)
+from cuspsemi.supersym import MethodMismatchError, pairwise_products
 
 
 def test_triple_validation():
@@ -379,13 +375,21 @@ def test_s_prime_formulas():
     assert supersym.s_prime_invariants(4, 5, 7) == (96, 177)
 
 
-def test_s_prime_not_applicable_when_abc_plus_one_inside():
+def test_s_prime_is_none_when_abc_plus_one_inside():
     # 106 = abc + 1 is already a member for (3,5,7)
-    assert supersym.abc_plus_one_is_member(3, 5, 7)
-    with pytest.raises(NotApplicableError):
-        supersym.s_prime(3, 5, 7)
-    with pytest.raises(NotApplicableError):
-        supersym.s_prime_invariants(3, 5, 7)
+    assert supersym.min_congruent_one(3, 5, 7) == 106
+    assert supersym.s_prime(3, 5, 7) is None
+    assert supersym.s_prime_invariants(3, 5, 7) is None
+
+
+def test_s_prime_is_none_exactly_where_abc_plus_one_is_a_member():
+    for a, b, c in supersym.coprime_triples(2000):
+        sp = supersym.s_prime(a, b, c)
+        invariants = supersym.s_prime_invariants(a, b, c)
+        member = supersym.supersym_semigroup(a, b, c).contains(a * b * c + 1)
+        assert (sp is None) == (invariants is None) == member, (a, b, c)
+        if sp is not None:
+            assert (sp.genus, sp.frobenius) == invariants, (a, b, c)
 
 
 def test_generic_contains_abc_plus():
