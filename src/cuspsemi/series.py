@@ -13,14 +13,17 @@ Rows go in by increasing monomial degree and a row only makes pivots at or
 above its own degree, so the achieved set below a degree is final once every
 monomial below it is in; the echelon stops at the first degree below which
 that set holds a run of r1 values, the conductor's.  That stop degree is the
-least monomial degree at or above conductor + r1, and every horizon at or
-above it gives the same result.  The result is exact for the drawn instance;
+least monomial degree at or above conductor + r1.  Every horizon at or above
+conductor + r1 (and above the largest order) inserts the same rows and gives
+the same semigroup, though not the same tuple: a horizon below the stop degree
+returns the values below itself.  The result is exact for the drawn instance;
 agreement across independent seeds is the evidence that the instance is
 generic.
 
 The horizon rule: the first seed starts at :func:`start_precision`, which
 provably captures every profile with gcd 1, and every later seed at the first
-seed's stop degree, where a seed with the same semigroup is captured at once.
+seed's conductor + r1 (at least r_n + 1), where a seed with the same semigroup
+is captured at once.
 A horizon that falls short, as start_precision can for gcd > 1, grows by half,
 to no less than start_precision.  Once the achieved set is checked to be
 additively closed, the value semigroup is a
@@ -62,9 +65,10 @@ _WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 # sixteen steps of 3/2; with F the Frobenius number of the orders over their
 # gcd d, the last is at least 256 times 2d(F + 1) + 2, about twice
 # start_precision: as far as eight doublings from that value would reach.  A
-# later seed starts at the first seed's stop degree and steps by 3/2 to no less
-# than start_precision, so its k-th horizon is at least the first seed's
-# (k - 1)-th and its last at least 128 times 2d(F + 1) + 2.
+# later seed starts at the first seed's conductor + r1 (at least r_n + 1),
+# where a seed with the same semigroup is captured at once, and steps by 3/2 to
+# no less than start_precision, so its k-th horizon is at least the first
+# seed's (k - 1)-th and its last at least 128 times 2d(F + 1) + 2.
 _HORIZON_ATTEMPTS = 17
 
 
@@ -190,8 +194,7 @@ class TruncatedSeries:
     The series is one packed int (``packed``) in the layout of its horizon,
     slot k holding the coefficient of t**(valuation + k); the leading slot is
     nonzero mod p and every slot is reduced.  ``coefficients`` unpacks the
-    slots when it is first read.  Two series are equal when their valuation,
-    packed int, precision and prime are.  Immutable by convention, as
+    slots when it is first read.  Immutable by convention, as
     :class:`~cuspsemi.semigroup.NumericalSemigroup` is.
     """
 
@@ -210,20 +213,6 @@ class TruncatedSeries:
         self.precision = precision
         self.prime = layout.prime
         self._layout = layout
-
-    def _key(self) -> tuple[int, int, int, int]:
-        return self.valuation, self.packed, self.precision, self.prime
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __repr__(self) -> str:
-        return "TruncatedSeries(valuation={}, packed={}, precision={}, prime={})".format(*self._key())
 
     # perfbench/tracer.py reads this name; it goes with ROADMAP item 5's tracer change
     @cached_property
@@ -390,9 +379,10 @@ def value_semigroup(
     is in, the achieved set below D is final.  The echelon stops at the first
     such D below which the achieved set holds a run of r1 consecutive values,
     which starts at the conductor, and returns the achieved set below D; rows
-    at D and above are neither multiplied out nor reduced.  Raises
-    :class:`PrecisionTooSmallError` when no such D fits below ``precision``,
-    since the conductor is then not captured.
+    at D and above are neither multiplied out nor reduced.  The horizon
+    counts as one more such D; when the achieved set below ``precision``
+    holds no run either, the conductor is not captured and
+    :class:`PrecisionTooSmallError` is raised.
     """
     prof = RamificationProfile.of(profile)
     orders = prof.orders
@@ -411,10 +401,15 @@ def value_semigroup(
     pivots: dict[int, tuple[int, int]] = {}
     achieved = 1  # bit x set for each achieved valuation x, 0 included
     settled = 0  # every row below this degree is in
-    for degree, exp in _exponents_below(orders, precision):
+    # the horizon closes the walk as one more degree, with no row
+    for degree, exp in [*_exponents_below(orders, precision), (precision, None)]:
         if degree > settled:
             if _first_run_start(achieved & ((1 << degree) - 1), r1) is not None:
                 break
+            if exp is None:
+                raise PrecisionTooSmallError(
+                    f"no run of {r1} consecutive achieved valuations below {precision}"
+                )
             settled = degree
         series = memo.get(exp)
         if series is None:
@@ -425,12 +420,6 @@ def value_semigroup(
         pivot = _insert_row(pivots, series)
         if pivot is not None:
             achieved |= 1 << pivot
-    else:
-        degree = precision
-        if _first_run_start(achieved, r1) is None:
-            raise PrecisionTooSmallError(
-                f"no run of {r1} consecutive achieved valuations below {precision}"
-            )
     return (0, *sorted(d for d in pivots if d < degree))
 
 
@@ -454,18 +443,6 @@ def start_precision(profile: RamificationProfile | Sequence[int]) -> int:
     return max(d * (reduced.frobenius + 1) + orders[0] + d, 2 * orders[-1] + 2)
 
 
-def _horizon_at_least(orders: tuple[int, ...], bound: int) -> int:
-    """The least monomial degree at or above ``bound`` and above the largest order.
-
-    An instance whose conductor is at most bound - r1 stops by this degree, and
-    :func:`value_semigroup` returns the same tuple at every horizon from its
-    stop degree on.  A monomial degree plus r1 is another, so one lies below
-    bound + r1.
-    """
-    bound = max(bound, orders[-1] + 1)
-    return min(d for d, _ in _exponents_below(orders, bound + orders[0]) if d >= bound)
-
-
 def capture_conductors(
     profile: RamificationProfile | Sequence[int],
     seeds: Sequence[int],
@@ -474,10 +451,13 @@ def capture_conductors(
     """The value semigroup of each seed's instance.
 
     This is the only place that chooses the precision horizon.  The first seed
-    starts at :func:`start_precision`, every later one at the first seed's stop
-    degree.  A horizon that falls short is followed by one half as long again,
-    but no shorter than :func:`start_precision`; at most ``_HORIZON_ATTEMPTS``
-    horizons per seed.  A seed draws one instance at every
+    starts at :func:`start_precision`, every later one at the first seed's
+    conductor + r1, and at least at r_n + 1.  A seed with the first seed's
+    semigroup is captured at every horizon from there on, from the rows below
+    its stop degree, though the tuple ends below the horizon when that lies
+    below the stop degree.  A horizon that falls short is followed by one
+    half as long again, but no shorter than :func:`start_precision`; at most
+    ``_HORIZON_ATTEMPTS`` horizons per seed.  A seed draws one instance at every
     horizon, so the semigroup it returns does not depend on the horizon that
     captured it.
     The achieved set must hold every value from the conductor it shows through
@@ -516,7 +496,7 @@ def capture_conductors(
         if semigroup.member_count_below(conductor) != len(below):
             raise AchievedSetError("achieved set is not additively closed")
         if not results:
-            start = _horizon_at_least(orders, conductor + r1)
+            start = max(conductor + r1, orders[-1] + 1)
         results.append(semigroup)
     return results
 

@@ -248,9 +248,7 @@ def check_min_congruent_one(max_abc: int = 5000) -> CheckResult:
         abc = t[0] * t[1] * t[2]
         # Direct scan: members congruent to 1 mod abc below value.
         s = supersym.supersym_semigroup(*t)
-        least = s.contains(value) and not any(
-            s.contains(x) for x in range(1, value, abc) if x != value
-        )
+        least = s.contains(value) and not any(s.contains(x) for x in range(1, value, abc))
         return value in (abc + 1, 2 * abc + 1), least
 
     result = CheckResult("min-congruent-one")

@@ -31,6 +31,11 @@ def build(valuation, coeffs, precision, prime):
     return TruncatedSeries(valuation, layout.pack(coeffs), layout)
 
 
+def terms(f):
+    """What a series holds: its valuation and its packed coefficients."""
+    return f.valuation, f.packed
+
+
 def schoolbook_product(f, g):
     """Reference product: one multiply per pair of coefficients, truncated at the horizon."""
     p, v = f.prime, f.valuation + g.valuation
@@ -118,8 +123,8 @@ def test_series_draw_is_seeded():
     a = series._draw_series(random.Random(7), 4, 40, DEFAULT_PRIME)
     b = series._draw_series(random.Random(7), 4, 40, DEFAULT_PRIME)
     c = series._draw_series(random.Random(8), 4, 40, DEFAULT_PRIME)
-    assert a == b
-    assert a != c
+    assert terms(a) == terms(b)
+    assert terms(a) != terms(c)
     assert a.coefficients[0] == 1  # monic normalization
 
 
@@ -246,14 +251,14 @@ def test_kronecker_product_matches_schoolbook(prime):
             vb = rng.randrange(1, precision - va)  # va + vb < precision
             f = _sparse_series(rng, va, precision, prime)
             g = _sparse_series(rng, vb, precision, prime)
-            assert f * g == schoolbook_product(f, g)
-            assert g * f == f * g
+            assert terms(f * g) == terms(schoolbook_product(f, g))
+            assert terms(g * f) == terms(f * g)
         # length-1 result: only the leading coefficients meet
         f = _sparse_series(rng, 1, precision, prime)
         g = _sparse_series(rng, precision - 2, precision, prime)
         h = f * g
         assert len(h.coefficients) == 1
-        assert h == schoolbook_product(f, g)
+        assert terms(h) == terms(schoolbook_product(f, g))
         assert h.coefficients[0] == f.coefficients[0] * g.coefficients[0] % prime
 
 
@@ -265,7 +270,7 @@ def test_kronecker_product_worst_case_slots():
     f = build(1, (p - 1,) * (precision - 1), precision, p)
     g = build(2, (p - 1,) * (precision - 2), precision, p)
     h = f * g
-    assert h == schoolbook_product(f, g)
+    assert terms(h) == terms(schoolbook_product(f, g))
     assert h.coefficients == tuple((k + 1) % p for k in range(precision - 3))
 
 
@@ -328,8 +333,8 @@ def full_echelon_stop(orders, precision, prime, seed):
 def test_early_stop_matches_the_full_horizon_echelon(monkeypatch, orders):
     # the horizons capture_conductors tries, each against the oracle that
     # inserts every monomial below the horizon: start_precision for the first
-    # seed, its stop degree for the second, and after a short horizon a step
-    # of 3/2 to no less than start_precision
+    # seed, its conductor + r1 (at least r_n + 1) for the second, and after a
+    # short horizon a step of 3/2 to no less than start_precision
     tried = record_horizons(monkeypatch)
     r1 = orders[0]
     for prime in (2**31 - 1, BIG_PRIME):
@@ -345,7 +350,7 @@ def test_early_stop_matches_the_full_horizon_echelon(monkeypatch, orders):
                     value_semigroup(orders, precision, prime, seed)
                 precision = max(precision + precision // 2, first)
             assert value_semigroup(orders, precision, prime, seed) == want
-            precision = series._horizon_at_least(orders, series.detect_conductor(want, r1) + r1)
+            precision = max(series.detect_conductor(want, r1) + r1, orders[-1] + 1)
         tried.clear()
         series.capture_conductors(orders, [0, 1], prime)
         assert [h for h, _ in tried] == walked
@@ -478,14 +483,15 @@ def least_monomial_degree(orders, bound):
     ids=["28-30-32", "2-3-4"],
 )
 def test_later_seeds_start_at_the_first_seeds_stop_degree(monkeypatch, orders, horizons):
-    # (28, 30, 32): seed 0 stops at 200 = 5 * 28 + 2 * 30, the least monomial
-    # degree at or above its conductor + 28.  (2, 3, 4): conductor + r1 = 4 is
-    # r3, and a horizon must exceed every order.  Later seeds have the same
-    # semigroup and are captured at the stop degree at once.
+    # (28, 30, 32): seed 0 stops at 200 = 5 * 28 + 2 * 30, its conductor + 28.
+    # (2, 3, 4): conductor + r1 = 4 is r3, and a horizon must exceed every
+    # order.  Later seeds start at conductor + r1, at least r_n + 1, which here
+    # is the stop degree; they have the same semigroup and are captured at once.
     tried = record_horizons(monkeypatch)
     first, *later = series.capture_conductors(orders, range(3))
     assert tried == [(h, True) for h in horizons]
     assert horizons[0] == start_precision(orders)
+    assert max(first.conductor + orders[0], orders[-1] + 1) == horizons[1]
     assert least_monomial_degree(orders, first.conductor + orders[0]) == horizons[1]
     assert later == [first, first]
 
@@ -494,22 +500,51 @@ def test_later_seeds_start_at_the_first_seeds_stop_degree(monkeypatch, orders, h
 def test_short_first_horizon_takes_one_step_of_three_halves(monkeypatch, l):
     # the m = 2 profiles have gcd 2, so start_precision is an estimate; it
     # falls short for seed 0, one step of 3/2 captures it, and seeds 1 and 2
-    # are captured at seed 0's stop degree
+    # are captured at seed 0's conductor + r1
     tried = record_horizons(monkeypatch)
     orders = (2 * l, 2 * l + 2, 2 * l + 4)
     start = start_precision(orders)
     first, *later = series.capture_conductors(orders, range(3))
-    stop = least_monomial_degree(orders, first.conductor + orders[0])
-    assert tried == [(start, False), (start + start // 2, True), (stop, True), (stop, True)]
+    later_start = first.conductor + orders[0]
+    assert tried == [(start, False), (start + start // 2, True)] + [(later_start, True)] * 2
     assert later == [first, first]
+
+
+def test_later_seeds_of_2_4_6_start_at_r3_plus_one(monkeypatch):
+    # seed 0 is <2, 5>: conductor 4, stop degree 6.  Later seeds start at
+    # r3 + 1 = 7 rather than at 8, the next monomial degree; no monomial
+    # degree lies between, so 7 inserts the rows that 8 does
+    orders = (2, 4, 6)
+    tried = record_horizons(monkeypatch)
+    assert series.capture_conductors(orders, range(3)) == [NumericalSemigroup((2, 5))] * 3
+    assert tried == [(start_precision(orders), True), (7, True), (7, True)]
+
+    rows = []
+    insert = series._insert_row
+
+    def record(pivots, row):
+        rows.append(row)
+        return insert(pivots, row)
+
+    monkeypatch.setattr(series, "_insert_row", record)
+    for seed in (1, 2):
+        achieved = {}
+        inserted = {}
+        for horizon in (7, 8):
+            rows.clear()
+            achieved[horizon] = value_semigroup(orders, horizon, seed=seed)
+            inserted[horizon] = [(row.valuation, row.coefficients) for row in rows]
+        assert achieved[7] == achieved[8] == (0, 2, 4, 5)
+        assert [v for v, _ in inserted[7]] == [v for v, _ in inserted[8]]
+        assert all(short == long[:-1] for (_, short), (_, long) in zip(inserted[7], inserted[8]))
 
 
 def test_later_seed_short_at_the_stop_degree_keeps_its_own_semigroup(monkeypatch):
     # profile (6, 9), whose monomial degrees are the multiples of 3 but 3.
     # Seeds 0 and 2 are the instance <6, 9, 11>, conductor 26, stop degree 33;
     # seed 1 is <6, 9, 14>, conductor 32, stop degree 39.  Seed 0 is short at
-    # start_precision 20 and at 30 and captured at 45; seed 1 is short at 33
-    # and captured at 49
+    # start_precision 20 and at 30 and captured at 45; later seeds start at
+    # 26 + 6 = 32, where seed 1 is short, and it is captured at 48
     instances = {0: (6, 9, 11), 1: (6, 9, 14), 2: (6, 9, 11)}
     tried = []
 
@@ -527,7 +562,7 @@ def test_later_seed_short_at_the_stop_degree_keeps_its_own_semigroup(monkeypatch
     monkeypatch.setattr(series, "value_semigroup", instance)
     got = series.capture_conductors((6, 9), range(3))
     assert got == [NumericalSemigroup(instances[seed]) for seed in range(3)]
-    assert tried == [(0, 20), (0, 30), (0, 45), (1, 33), (1, 49), (2, 33)]
+    assert tried == [(0, 20), (0, 30), (0, 45), (1, 32), (1, 48), (2, 32)]
     with pytest.raises(series.SeedDisagreementError):
         empirical_generic_semigroup((6, 9))
 
@@ -683,11 +718,10 @@ def test_products_and_constructed_series_agree_on_eq_and_hash(prime):
             g = _sparse_series(rng, vb, precision, prime)
             product = f * g  # coefficients not read yet
             built = schoolbook_product(f, g)
-            assert product == built
-            assert hash(product) == hash(built)
-            assert len({product, built}) == 1
+            assert terms(product) == terms(built)
             assert product.coefficients == built.coefficients
-            assert product == build(product.valuation, product.coefficients, precision, prime)
+            rebuilt = build(product.valuation, product.coefficients, precision, prime)
+            assert terms(product) == terms(rebuilt)
 
 
 def probe_by_lists(series_list, coefficients):
