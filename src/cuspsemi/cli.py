@@ -309,6 +309,10 @@ def main(argv: list[str] | None = None) -> int:
     except (PrecisionTooSmallError, ArithmeticError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 3
+    except MemoryError:
+        # raised without a message, e.g. by a sieve sized by a huge Frobenius bound
+        sys.stderr.write("error: out of memory: the input is too large to compute with\n")
+        return 3
     except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

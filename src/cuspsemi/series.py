@@ -9,16 +9,19 @@ at one horizon is therefore the truncation of the same series drawn at any
 longer one, so every horizon sees one instance per seed.  The set of
 valuations achieved by the generated algebra below a precision horizon equals
 the pivot-degree set of the echelon form of the monomial coefficient matrix.
-Rows go in by increasing monomial degree and a row only makes pivots at or
-above its own degree, so the achieved set below a degree is final once every
-monomial below it is in; the echelon stops at the first degree below which
-that set holds a run of r1 values, the conductor's.  That stop degree is the
-least monomial degree at or above conductor + r1.  Every horizon at or above
-conductor + r1 (and above the largest order) inserts the same rows and gives
-the same semigroup, though not the same tuple: a horizon below the stop degree
-returns the values below itself.  The result is exact for the drawn instance;
-agreement across independent seeds is the evidence that the instance is
-generic.
+Rows go in by one walk over the degrees: each monomial is coordinate j times a
+parent of lower degree, formed when its degree is reached, and is extended by
+the coordinates k >= j only, so each monomial comes once.  The order of the
+rows within one degree does not change the achieved set, the valuations of
+the rows' span.  A row only makes pivots at or above its own degree, so the
+achieved set below a degree is final once every monomial below it is in; the
+echelon stops at the first degree below which that set holds a run of r1
+values, the conductor's.  That stop degree is the least monomial degree at or
+above conductor + r1.  Every horizon at or above conductor + r1 (and above the
+largest order) inserts the same rows and gives the same semigroup, though not
+the same tuple: a horizon below the stop degree returns the values below
+itself.  The result is exact for the drawn instance; agreement across
+independent seeds is the evidence that the instance is generic.
 
 The horizon rule: the first seed starts at :func:`start_precision`, which
 provably captures every profile with gcd 1, and every later seed at the first
@@ -193,24 +196,19 @@ class TruncatedSeries:
 
     The series is one packed int (``packed``) in the layout of its horizon,
     slot k holding the coefficient of t**(valuation + k); the leading slot is
-    nonzero mod p and every slot is reduced.  ``coefficients`` unpacks the
-    slots when it is first read.  Immutable by convention, as
-    :class:`~cuspsemi.semigroup.NumericalSemigroup` is.
+    nonzero mod p and every slot is reduced.  Nothing checks that: the two
+    builders keep it.  :func:`_draw_series` draws at a valuation below the
+    precision, and a product, of two series of one layout, is formed only
+    below the horizon; its leading slot is a product of nonzero residues mod a
+    prime.  ``coefficients`` unpacks the slots when it is first read.
+    Immutable by convention, as :class:`~cuspsemi.semigroup.NumericalSemigroup`
+    is.
     """
 
     def __init__(self, valuation: int, packed: int, layout: _Layout) -> None:
-        precision = layout.precision
-        if not 0 < valuation < precision:
-            raise ValueError("need 0 < valuation < precision")
-        if packed.bit_length() > (precision - valuation) * layout.bits:
-            raise ValueError("coefficient count must equal precision - valuation")
-        if (packed & layout.slot_mask) % layout.prime == 0:
-            raise ValueError("leading coefficient must be nonzero")
-        if not layout.is_reduced(packed):
-            raise ValueError("coefficients must be reduced mod the prime")
         self.valuation = valuation
         self.packed = packed
-        self.precision = precision
+        self.precision = layout.precision
         self.prime = layout.prime
         self._layout = layout
 
@@ -220,13 +218,7 @@ class TruncatedSeries:
         return tuple(self._layout.unpack(self.packed, self.precision - self.valuation))
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        if self.precision != other.precision or self.prime != other.prime:
-            raise ValueError("series must share precision and prime")
         v = self.valuation + other.valuation
-        if v >= self.precision:
-            raise PrecisionTooSmallError(
-                f"product valuation {v} is at or beyond precision {self.precision}"
-            )
         # both operands truncate to the n slots the product keeps; an exact
         # product slot is below n * p**2 and never carries
         layout = self._layout
@@ -279,30 +271,6 @@ def _draw_base(orders: Sequence[int], precision: int, prime: int, seed: int) -> 
     order, so a longer horizon only appends to each series.
     """
     return [_draw_series(random.Random(f"{seed}/{i}"), r, precision, prime) for i, r in enumerate(orders)]
-
-
-def _exponents_below(orders: tuple[int, ...], precision: int) -> list[tuple[int, tuple[int, ...]]]:
-    """(weighted degree, exponents) of the nonzero exponent tuples below ``precision``, sorted."""
-    n = len(orders)
-    found: list[tuple[int, tuple[int, ...]]] = []
-    vec = [0] * n
-
-    def descend(i: int, deg: int) -> None:
-        if i == n:
-            if deg:
-                found.append((deg, tuple(vec)))
-            return
-        r = orders[i]
-        e = 0
-        while deg + e * r < precision:
-            vec[i] = e
-            descend(i + 1, deg + e * r)
-            e += 1
-        vec[i] = 0
-
-    descend(0, 0)
-    found.sort()
-    return found
 
 
 def _insert_row(pivots: dict[int, tuple[int, int]], series: TruncatedSeries) -> int | None:
@@ -374,15 +342,21 @@ def value_semigroup(
 
     The monomials in the coordinate series are inserted as coefficient rows in
     increasing weighted degree; the pivot degrees of the echelon form, together
-    with 0, are exactly the valuations achieved by the algebra.  A row of
-    degree D only makes pivots at D or above, so once every monomial below D
-    is in, the achieved set below D is final.  The echelon stops at the first
-    such D below which the achieved set holds a run of r1 consecutive values,
-    which starts at the conductor, and returns the achieved set below D; rows
-    at D and above are neither multiplied out nor reduced.  The horizon
-    counts as one more such D; when the achieved set below ``precision``
-    holds no run either, the conductor is not captured and
-    :class:`PrecisionTooSmallError` is raised.
+    with 0, are exactly the valuations achieved by the algebra.  The walk keeps
+    the monomials of each degree not yet reached as (j, parent): coordinate j
+    times the parent series, or coordinate j itself.  A monomial reached at
+    degree d is extended by each coordinate k >= j to degree d + r_k below the
+    horizon, so each monomial is reached once, and its product is formed only
+    once its degree is reached and the echelon does not stop there.  The order
+    of the rows within one degree does not change the achieved set, which is
+    the set of valuations of the rows' span.  A row of degree D only makes
+    pivots at D or above, so once every monomial below D is in, the achieved
+    set below D is final.  The echelon stops at the first such D below which
+    the achieved set holds a run of r1 consecutive values, which starts at the
+    conductor, and returns the achieved set below D; rows at D and above are
+    neither multiplied out nor reduced.  The horizon counts as one more such
+    D; when the achieved set below ``precision`` holds no run either, the
+    conductor is not captured and :class:`PrecisionTooSmallError` is raised.
     """
     prof = RamificationProfile.of(profile)
     orders = prof.orders
@@ -391,36 +365,33 @@ def value_semigroup(
         raise PrecisionTooSmallError("precision must exceed every order in the profile")
 
     base = _draw_base(orders, precision, prime, seed)
-
-    memo: dict[tuple[int, ...], TruncatedSeries] = {}
-    for i in range(len(orders)):
-        unit = tuple(1 if j == i else 0 for j in range(len(orders)))
-        memo[unit] = base[i]
-
     r1 = orders[0]
     pivots: dict[int, tuple[int, int]] = {}
     achieved = 1  # bit x set for each achieved valuation x, 0 included
-    settled = 0  # every row below this degree is in
+    # waiting[d]: the monomials of degree d not yet reached, each as (j, parent),
+    # coordinate j times the parent series (None for coordinate j itself)
+    waiting: dict[int, list[tuple[int, TruncatedSeries | None]]] = {
+        r: [(j, None)] for j, r in enumerate(orders)
+    }
     # the horizon closes the walk as one more degree, with no row
-    for degree, exp in [*_exponents_below(orders, precision), (precision, None)]:
-        if degree > settled:
-            if _first_run_start(achieved & ((1 << degree) - 1), r1) is not None:
-                break
-            if exp is None:
-                raise PrecisionTooSmallError(
-                    f"no run of {r1} consecutive achieved valuations below {precision}"
-                )
-            settled = degree
-        series = memo.get(exp)
-        if series is None:
-            j = next(idx for idx, e in enumerate(exp) if e)
-            parent = exp[:j] + (exp[j] - 1,) + exp[j + 1 :]
-            series = memo[parent] * base[j]
-            memo[exp] = series
-        pivot = _insert_row(pivots, series)
-        if pivot is not None:
-            achieved |= 1 << pivot
-    return (0, *sorted(d for d in pivots if d < degree))
+    for degree in range(r1, precision + 1):
+        reached = waiting.pop(degree, None)
+        if reached is None and degree < precision:
+            continue
+        if _first_run_start(achieved & ((1 << degree) - 1), r1) is not None:
+            return (0, *sorted(d for d in pivots if d < degree))
+        for j, parent in reached or ():
+            series = base[j] if parent is None else parent * base[j]
+            pivot = _insert_row(pivots, series)
+            if pivot is not None:
+                achieved |= 1 << pivot
+            # extending only by k >= j reaches each monomial once, from the
+            # parent that lacks one factor of its largest coordinate
+            for k in range(j, len(orders)):
+                if degree + orders[k] >= precision:
+                    break
+                waiting.setdefault(degree + orders[k], []).append((k, series))
+    raise PrecisionTooSmallError(f"no run of {r1} consecutive achieved valuations below {precision}")
 
 
 def start_precision(profile: RamificationProfile | Sequence[int]) -> int:

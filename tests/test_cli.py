@@ -776,6 +776,19 @@ def test_exported_exception_reaches_its_exit_code(capsys, monkeypatch, name):
     assert (code, out, err) == (README_EXIT_CODES[name], "", f"error: {name} raised\n")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [("info", "--gens", "1000000007,1000000009"), ("generic", "--profile", "1000000007,1000000009")],
+    ids=["info", "generic"],
+)
+def test_out_of_memory_exits_three_with_one_error_line(capsys, argv):
+    # the sieve of <1000000007, 1000000009> asks for a mask of about 10**18
+    # bits, which cannot be allocated; the request fails before memory is used
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert err == "error: out of memory: the input is too large to compute with\n"
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "cuspsemi", "info", "--gens", "12,15,20"],

@@ -1,3 +1,4 @@
+import itertools
 import os
 import random
 import signal
@@ -87,13 +88,20 @@ def replay_rows(rows, prime):
 
 
 def monomial_rows(orders, precision, prime, seed):
-    """Every monomial of the instance ``value_semigroup`` draws, below the horizon, in degree order."""
+    """Every monomial of the instance ``value_semigroup`` draws, below the horizon, in degree order.
+
+    A brute-force enumeration over all exponent tuples, apart from the walk
+    under test; each monomial is its parent times its first coordinate.
+    """
     base = series._draw_base(orders, precision, prime, seed)
+    exponents = itertools.product(*(range(-(-precision // r)) for r in orders))
+    weighted = sorted((sum(e * r for e, r in zip(exp, orders)), exp) for exp in exponents)
     built = {}
-    for _, exp in series._exponents_below(orders, precision):
-        j = next(i for i, e in enumerate(exp) if e)
-        parent = exp[:j] + (exp[j] - 1,) + exp[j + 1 :]
-        built[exp] = built[parent] * base[j] if any(parent) else base[j]
+    for degree, exp in weighted:
+        if 0 < degree < precision:
+            j = next(i for i, e in enumerate(exp) if e)
+            parent = exp[:j] + (exp[j] - 1,) + exp[j + 1 :]
+            built[exp] = built[parent] * base[j] if any(parent) else base[j]
     return list(built.values())
 
 
@@ -357,18 +365,28 @@ def test_early_stop_matches_the_full_horizon_echelon(monkeypatch, orders):
 
 
 def test_early_stop_inserts_85_rows_at_l_14(monkeypatch):
-    # 518 rows reach the full horizon; the stop leaves 85
+    # 518 rows reach the full horizon; the stop leaves 85, and 82 products,
+    # one per row but the three coordinates: none at or above the stop degree
     rows = []
+    products = []
     insert = series._insert_row
+    multiply = TruncatedSeries.__mul__
 
     def record(pivots, row):
         rows.append(row)
         return insert(pivots, row)
 
+    def record_product(f, g):
+        products.append(f.valuation + g.valuation)
+        return multiply(f, g)
+
     monkeypatch.setattr(series, "_insert_row", record)
+    monkeypatch.setattr(TruncatedSeries, "__mul__", record_product)
     orders = (28, 30, 32)
     value_semigroup(orders, start_precision(orders), seed=0)
     assert len(rows) == 85
+    assert len(products) == 82
+    assert max(products) < 200  # the stop degree, conductor 172 + 28
 
 
 
@@ -676,35 +694,6 @@ def test_reduced_check_reads_every_slot(prime):
             assert not layout.is_reduced(layout.pack(xs))
     assert layout.is_reduced(layout.pack([prime - 1] * precision))
     assert not layout.is_reduced(-1)
-
-
-@pytest.mark.parametrize("prime", PRIMES)
-def test_packed_constructor_raises_what_the_tuple_constructor_raises(prime):
-    p, precision = prime, 12
-    layout = series._layout_of(p, precision)
-    ok = (1,) + (p - 1,) * 9  # valuation 2
-    full = (1 << layout.bits) - 1
-    count = "coefficient count must equal precision - valuation"
-    leading = "leading coefficient must be nonzero"
-    unreduced = "coefficients must be reduced mod the prime"
-    cases = [
-        (0, (1,) * 12, "need 0 < valuation < precision"),
-        (12, (1,), "need 0 < valuation < precision"),  # valuation at the horizon
-        (2, ok + (1,), count),  # one coefficient too many
-        (2, (0,) + ok[1:], leading),
-        (2, (p,) + ok[1:], leading),  # zero mod p
-        (2, (1, p) + ok[2:], unreduced),
-        (2, ok[:-1] + (2 * p,), unreduced),
-        (2, (1, 0, 1 << (layout.bits - 1)) + ok[3:], unreduced),
-        (2, (1, full, 0) + ok[3:], unreduced),
-    ]
-    for valuation, coeffs, message in cases:
-        with pytest.raises(ValueError) as raised:
-            TruncatedSeries(valuation, layout.pack(coeffs), layout)
-        assert str(raised.value) == message, (valuation, coeffs)
-    with pytest.raises(ValueError, match="reduced"):
-        TruncatedSeries(2, -1, layout)
-    assert TruncatedSeries(2, layout.pack(ok), layout).coefficients == ok
 
 
 @pytest.mark.parametrize("prime", PRIMES)
